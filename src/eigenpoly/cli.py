@@ -23,6 +23,7 @@ import numpy as np
 from . import fixtures
 from .eigendata import encode
 from .jsonio import (
+    _number_list,
     dumps,
     eigendata_to_obj,
     load_custom_basis_file,
@@ -83,12 +84,7 @@ def _resolve_structure(spec: str, n: int):
 
 def _load_vector(path: str) -> np.ndarray:
     with open(path) as fh:
-        obj = json.load(fh)
-    if not isinstance(obj, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj
-    ):
-        raise ValueError(f"{path}: expected a JSON array of numbers")
-    return np.asarray(obj, dtype=float)
+        return _number_list(json.load(fh), path)
 
 
 def cmd_solve(args) -> int:

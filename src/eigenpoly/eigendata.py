@@ -35,6 +35,8 @@ class Eigenpair:
         v = np.asarray(self.vector, dtype=complex)
         if v.ndim != 1:
             raise ValueError(f"eigenvector must be one-dimensional, got shape {v.shape}")
+        if not (np.isfinite(v).all() and np.isfinite(self.eigenvalue)):
+            raise ValueError("eigenpair has non-finite entries")
         if np.linalg.norm(v) == 0.0:
             raise ValueError("eigenvector must be nonzero")
         v = v.copy()
@@ -44,7 +46,7 @@ class Eigenpair:
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float, copy=True)
+    out = np.array(a, copy=True)
     out.flags.writeable = False
     return out
 
@@ -80,6 +82,8 @@ class RealEigenpairs:
             raise ValueError(f"X must be {self.n}x{self.m}, got shape {X.shape}")
         if E.shape != (self.m, self.m):
             raise ValueError(f"E must be {self.m}x{self.m}, got shape {E.shape}")
+        if not (np.isfinite(X).all() and np.isfinite(E).all()):
+            raise ValueError("X and E must have finite entries")
         if not 0 <= 2 * self.t <= self.m:
             raise ValueError(f"block count t = {self.t} does not fit m = {self.m}")
         _check_block_diagonal(E, self.t)

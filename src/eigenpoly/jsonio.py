@@ -109,10 +109,21 @@ def _require(obj, key, context):
     return obj[key]
 
 
+def _floats(obj, context) -> np.ndarray:
+    # an integer beyond the float range counts as non-finite
+    try:
+        a = np.asarray(obj, dtype=float)
+    except OverflowError:
+        a = np.array(np.inf)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{context}: expected finite numbers")
+    return a
+
+
 def _number_list(obj, context) -> np.ndarray:
     if not isinstance(obj, list) or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj):
         raise ValueError(f"{context}: expected a list of numbers")
-    return np.asarray(obj, dtype=float)
+    return _floats(obj, context)
 
 
 def obj_to_eigenpairs(obj) -> tuple:
@@ -133,6 +144,7 @@ def obj_to_eigenpairs(obj) -> tuple:
         for label, v in (("re", re_part), ("im", im_part)):
             if not isinstance(v, (int, float)) or isinstance(v, bool):
                 raise ValueError(f"{where}.lambda.{label}: expected a number")
+            _floats(v, f"{where}.lambda.{label}")
         v_re = _number_list(_require(vec, "re", f"{where}.vector"), f"{where}.vector.re")
         v_im = _number_list(_require(vec, "im", f"{where}.vector"), f"{where}.vector.im")
         if v_re.shape != (n,) or v_im.shape != (n,):
@@ -199,7 +211,7 @@ def load_polynomial(path) -> tuple:
         i = _require(entry, "i", "polynomial.coefficients[]")
         if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < k or coeffs[i] is not None:
             raise ValueError(f"polynomial: coefficient indices must cover 0..k-1 exactly once, got {i!r}")
-        m = np.asarray(_require(entry, "matrix", f"coefficients[{i}]"), dtype=float)
+        m = _floats(_require(entry, "matrix", f"coefficients[{i}]"), f"coefficients[{i}].matrix")
         if m.shape != (n, n):
             raise ValueError(f"coefficients[{i}].matrix: expected {n}x{n}, got shape {m.shape}")
         coeffs[i] = m
@@ -218,7 +230,7 @@ def load_custom_basis_file(path) -> StructureBasis:
         raise ValueError("basis: matrices must be a nonempty list")
     mats = []
     for idx, rows in enumerate(raw):
-        m = np.asarray(rows, dtype=float)
+        m = _floats(rows, f"basis.matrices[{idx}]")
         if m.shape != (n, n):
             raise ValueError(f"basis.matrices[{idx}]: expected {n}x{n}, got shape {m.shape}")
         mats.append(m)

@@ -14,14 +14,20 @@ vectors of the unknown coefficients:
 
     U = [ ((X E^{k-1})^T kron I) P | ... | (X^T kron I) P ],   b = vec(-X E^k)
 
-Consistency and uniqueness are read off the SVD of U: a solution exists iff
-U U^+ b = b, and it is unique iff U has full column rank.  The general
-solution is x = U^+ b + (I - U^+ U) y with y free.
+``assemble`` forms neither the Kronecker products nor P: each structure
+triplet (p, q, l, s) scatters U[p + n*c, blk*r + l] += s * (X E^i)[q, c]
+over the columns c, where block blk holds A_i, i = k - 1 - blk.
+
+``analyze`` takes the SVD of U: a solution exists iff U U^+ b = b, and it
+is unique iff U has full column rank.  The general solution is
+x = U^+ b + (I - V_r^T V_r) y with y free, where the rows of V_r span the
+row space of U; ``solve`` applies the projector as y - V_r^T (V_r y).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -79,11 +85,7 @@ class ToleranceConfig:
 
 @dataclass(frozen=True, eq=False)
 class AssembledSystem:
-    """The linear system U x = b for one inverse problem instance.
-
-    ``svd`` holds the thin factorization (W, sigma, Vt) of U, computed once
-    at assembly and reused by the analysis step and diagnostics.
-    """
+    """The linear system U x = b for one inverse problem instance."""
 
     U: np.ndarray = field(repr=False)
     b: np.ndarray = field(repr=False)
@@ -91,7 +93,6 @@ class AssembledSystem:
     r: int = 0
     m: int = 0
     n: int = 0
-    svd: tuple = field(default=(), repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,18 +100,26 @@ class SolutionFamily:
     """Diagnostics and parameterization of the affine solution set.
 
     The full solution set, when nonempty, is x0 + nullspace_projector @ y
-    over free vectors y of length k*r.  ``unique`` records whether U has
-    full column rank, i.e. whether that family has dimension zero.
+    over free vectors y of length k*r.  ``row_space`` holds orthonormal
+    rows V_r spanning the row space of U, so the projector is
+    I - V_r^T V_r.  ``unique`` records whether U has full column rank,
+    i.e. whether that family has dimension zero.
     """
 
     x0: np.ndarray = field(repr=False)
     rank: int
     projector_rank: int
-    nullspace_projector: np.ndarray = field(repr=False)
+    row_space: np.ndarray = field(repr=False)
     consistent: bool
     unique: bool
     consistency_residual: float
     tolerances: ToleranceConfig
+
+    @cached_property
+    def nullspace_projector(self) -> np.ndarray:
+        """The dense (k*r)-by-(k*r) projector onto the null space of U."""
+        Vr = self.row_space
+        return np.eye(Vr.shape[1]) - Vr.T @ Vr
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,11 +146,16 @@ class MonicPolynomial:
         return acc
 
 
-def _powers(E: np.ndarray, k: int) -> list:
-    pows = [np.eye(E.shape[0])]
-    for _ in range(k):
-        pows.append(pows[-1] @ E)
-    return pows
+def _powers(ep: RealEigenpairs, k: int) -> list:
+    """The products X E^i for i = 0, ..., k; raises if any overflows."""
+    pows = [np.eye(ep.m)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(k):
+            pows.append(pows[-1] @ ep.E)
+        out = [ep.X @ p for p in pows]
+    if not all(np.isfinite(y).all() for y in out):
+        raise ValueError(f"X E^i overflows for degree k = {k}; largest |E| entry {np.max(np.abs(ep.E)):.3e}")
+    return out
 
 
 def assemble(
@@ -169,7 +183,7 @@ def assemble(
     Returns
     -------
     AssembledSystem
-        With U of shape (m*n, k*r) and b of length m*n, plus the SVD of U.
+        With U of shape (m*n, k*r) and b of length m*n.
     """
     if k < 1:
         raise ValueError(f"polynomial degree must be at least 1, got k = {k}")
@@ -182,36 +196,39 @@ def assemble(
             f"m = {ep.m} eigenpair columns exceed k*n = {k * ep.n}; "
             "pass allow_overdetermined to analyze anyway"
         )
-    pows = _powers(ep.E, k)
-    eye = np.eye(ep.n)
-    blocks = [np.kron((ep.X @ pows[i]).T, eye) @ basis.pattern for i in range(k - 1, -1, -1)]
-    U = np.hstack(blocks)
-    b = -(ep.X @ pows[k]).reshape(-1, order="F")
-    svd = np.linalg.svd(U, full_matrices=False)
-    return AssembledSystem(U=U, b=b, k=k, r=basis.r, m=ep.m, n=ep.n, svd=svd)
+    n, r, m = ep.n, basis.r, ep.m
+    Y = _powers(ep, k)
+    # (block, triplet, eigendata column) -> s * (X E^i)[q, c], i = k - 1 - block
+    vals = basis.values[None, :, None] * np.stack(Y[k - 1 :: -1])[:, basis.cols, :]
+    rows = basis.rows[None, :, None] + n * np.arange(m)
+    cols = r * np.arange(k)[:, None, None] + basis.index[None, :, None]
+    U = np.zeros((m * n, k * r))
+    np.add.at(U, (rows, cols), vals)
+    b = -Y[k].reshape(-1, order="F")
+    return AssembledSystem(U=U, b=b, k=k, r=r, m=m, n=n)
 
 
 def analyze(system: AssembledSystem, tol: ToleranceConfig = ToleranceConfig()) -> SolutionFamily:
-    """Classify the system and compute the minimal-norm particular solution.
+    """Factorize U by SVD, classify the system and compute the minimal-norm
+    particular solution.
 
     Singular values at or below cutoff * sigma_max count as zero.  The
     system is consistent iff the pseudoinverse solution reproduces b within
     ``tol.consistency_tol`` relative to max(1, ||b||), and the solution is
     unique iff rank(U) equals the number of unknowns k*r.
     """
-    W, sigma, Vt = system.svd
+    W, sigma, Vt = np.linalg.svd(system.U, full_matrices=False)
     rows, cols = system.U.shape
     cutoff = tol.rank_cutoff(rows, cols) * (sigma[0] if sigma.size else 0.0)
     rank = int(np.count_nonzero(sigma > cutoff))
     x0 = Vt[:rank].T @ ((W[:, :rank].T @ system.b) / sigma[:rank])
-    projector = np.eye(cols) - Vt[:rank].T @ Vt[:rank]
     gap = float(np.linalg.norm(system.U @ x0 - system.b))
     consistent = gap <= tol.consistency_tol * max(1.0, float(np.linalg.norm(system.b)))
     return SolutionFamily(
         x0=x0,
         rank=rank,
         projector_rank=cols - rank,
-        nullspace_projector=projector,
+        row_space=Vt[:rank],
         consistent=consistent,
         unique=rank == cols,
         consistency_residual=gap,
@@ -269,7 +286,8 @@ def solve(
         y = np.asarray(y, dtype=float)
         if y.shape != (k * basis.r,):
             raise ValueError(f"free parameter y must have length k*r = {k * basis.r}, got shape {y.shape}")
-        x = family.x0 + family.nullspace_projector @ y
+        Vr = family.row_space
+        x = family.x0 + (y - Vr.T @ (Vr @ y))
     coeffs = tuple(
         realize(basis, extract_coefficient(x, i, k, basis.r)) for i in range(k)
     )

@@ -1,16 +1,17 @@
-"""Linear matrix structures and their vectorization machinery.
+"""Linear matrix structures stored as coordinate triplets.
 
-A structure is a linear subspace of real n-by-n matrices described by an
-ordered basis S_1, ..., S_r.  A member A of the subspace is identified by
-its coordinate vector alpha through A = sum_l alpha_l * S_l.  The n^2-by-r
-pattern matrix P, whose columns are the column-major vectorizations of the
-basis matrices, links the two representations:
+A structure is a linear subspace of real n-by-n matrices with an ordered
+basis S_1, ..., S_r; a member is A = sum_l alpha_l * S_l.  A basis is held
+as triplet arrays (rows, cols, index, values): S_{index[t]} has values[t]
+at (rows[t], cols[t]).  Built-in kinds generate them from index rules,
+custom bases from the nonzeros of their matrices.  Realizing a member and
+assembling the solver's system scatter-add over the triplets, so the work
+grows with the nonzeros, not with n^2 * r.  The n^2-by-r pattern matrix P
+with vec(A) = P @ alpha is built from the triplets only on request.
 
-    vec(A) = P @ alpha
-
-Built-in structure kinds use sparse {-1, 0, 1} basis matrices with disjoint
-supports, so P has orthogonal columns and coordinate extraction is exact.
-Custom bases only need linear independence, which is checked on load.
+Built-in kinds have {-1, 0, 1} basis matrices with disjoint supports, so P
+has orthogonal columns.  Custom bases only need linear independence,
+which is checked on load.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
+
+from .eigendata import _frozen
 
 __all__ = [
     "BUILTIN_KINDS",
@@ -42,12 +45,6 @@ class StructureMembershipError(ValueError):
     """Raised when a matrix does not lie in the claimed structure subspace."""
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float, copy=True)
-    out.flags.writeable = False
-    return out
-
-
 def vec(a: np.ndarray) -> np.ndarray:
     """Stack the columns of a matrix into a single vector (column-major)."""
     return np.asarray(a, dtype=float).reshape(-1, order="F")
@@ -64,23 +61,26 @@ class StructureBasis:
     n : int
         Matrix order.
     r : int
-        Subspace dimension, ``len(matrices)``.
-    matrices : tuple of ndarray
-        The basis matrices S_1, ..., S_r, each n-by-n and read-only.
-    pattern : ndarray
-        The n^2-by-r matrix P with columns vec(S_l), read-only.
+        Subspace dimension.
+    rows, cols, index, values : ndarray
+        Read-only triplets: S_{index[t]}[rows[t], cols[t]] = values[t].
+        No (row, col, index) position is listed twice.
     """
 
     kind: str
     n: int
     r: int
-    matrices: tuple = field(repr=False)
-    pattern: np.ndarray = field(repr=False)
+    rows: np.ndarray = field(repr=False)
+    cols: np.ndarray = field(repr=False)
+    index: np.ndarray = field(repr=False)
+    values: np.ndarray = field(repr=False)
 
     @cached_property
-    def pattern_pinv(self) -> np.ndarray:
-        """Pseudoinverse of the pattern matrix, cached for repeated extraction."""
-        return np.linalg.pinv(self.pattern)
+    def pattern(self) -> np.ndarray:
+        """The n^2-by-r matrix P with columns vec(S_l), read-only."""
+        P = np.zeros((self.n * self.n, self.r))
+        P[self.rows + self.n * self.cols, self.index] = self.values
+        return _frozen(P)
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,80 +97,50 @@ class StructuredMatrix:
     dense: np.ndarray = field(repr=False)
 
 
-def _single_entry(n: int, i: int, j: int) -> np.ndarray:
-    m = np.zeros((n, n))
-    m[i, j] = 1.0
-    return m
+def _single(i, j, index=None):
+    # S_l has a one at (i[l], j[l]), or at every (i[t], j[t]) with index[t] = l
+    return i, j, np.arange(i.size) if index is None else index, np.ones(i.size)
 
 
-def _paired_entry(n: int, i: int, j: int, sign: float) -> np.ndarray:
-    m = np.zeros((n, n))
-    m[i, j] = 1.0
-    m[j, i] = sign
-    return m
+def _paired(i, j, sign):
+    # S_l = e_i e_j^T + sign * e_j e_i^T, a single one where i = j
+    idx, off = np.arange(i.size), i != j
+    return np.r_[i, j[off]], np.r_[j, i[off]], np.r_[idx, idx[off]], np.r_[np.ones(i.size), np.full(off.sum(), sign)]
 
 
-def _symmetric_basis(n):
-    # upper triangle, column-major: (0,0), (0,1), (1,1), (0,2), ...
-    out = []
-    for j in range(n):
-        for i in range(j + 1):
-            out.append(_single_entry(n, i, i) if i == j else _paired_entry(n, i, j, 1.0))
-    return out
+def _band(n, offsets):
+    # one matrix per entry (i, i + d), diagonal d after diagonal d
+    i = np.concatenate([np.arange(max(0, -d), n - max(0, d)) for d in offsets])
+    d = np.concatenate([np.full(n - abs(d), d) for d in offsets])
+    return i, i + d
 
 
-def _skew_basis(n):
-    # strict upper triangle, row-major: (0,1), (0,2), ..., (1,2), ...
-    return [_paired_entry(n, i, j, -1.0) for i in range(n) for j in range(i + 1, n)]
+def _grid(n):
+    # every (i, j), column by column
+    j, i = np.divmod(np.arange(n * n), n)
+    return i, j
 
 
-def _band_basis(n, offsets):
-    out = []
-    for d in offsets:
-        lo, hi = max(0, -d), n - max(0, d)
-        out.extend(_single_entry(n, i, i + d) for i in range(lo, hi))
-    return out
-
-
-def _symmetric_tridiagonal_basis(n):
-    out = [_single_entry(n, i, i) for i in range(n)]
-    out.extend(_paired_entry(n, i, i + 1, 1.0) for i in range(n - 1))
-    return out
-
-
-def _hankel_basis(n):
-    # one matrix per anti-diagonal i + j = s, from the top-left corner down
-    out = []
-    for s in range(2 * n - 1):
-        m = np.zeros((n, n))
-        for i in range(max(0, s - n + 1), min(n, s + 1)):
-            m[i, s - i] = 1.0
-        out.append(m)
-    return out
-
-
-def _toeplitz_basis(n):
-    # one matrix per diagonal j - i = d, from the bottom-left corner up
-    out = []
-    for d in range(-(n - 1), n):
-        m = np.zeros((n, n))
-        lo, hi = max(0, -d), n - max(0, d)
-        for i in range(lo, hi):
-            m[i, i + d] = 1.0
-        out.append(m)
-    return out
+def _constant_along(n, key):
+    # one matrix per value of key(i, j): a diagonal or an anti-diagonal
+    i, j = _grid(n)
+    return _single(i, j, key(i, j))
 
 
 _BUILDERS = {
-    "symmetric": _symmetric_basis,
-    "skew_symmetric": _skew_basis,
-    "tridiagonal": lambda n: _band_basis(n, (0, 1, -1)),
-    "symmetric_tridiagonal": _symmetric_tridiagonal_basis,
-    "pentadiagonal": lambda n: _band_basis(n, (0, 1, -1, 2, -2)),
-    "hankel": _hankel_basis,
-    "toeplitz": _toeplitz_basis,
-    "diagonal": lambda n: [_single_entry(n, i, i) for i in range(n)],
-    "full": lambda n: [_single_entry(n, i, j) for j in range(n) for i in range(n)],
+    # upper triangle, column-major: (0,0), (0,1), (1,1), (0,2), ...
+    "symmetric": lambda n: _paired(*np.tril_indices(n)[::-1], 1.0),
+    # strict upper triangle, row-major: (0,1), (0,2), ..., (1,2), ...
+    "skew_symmetric": lambda n: _paired(*np.triu_indices(n, 1), -1.0),
+    "tridiagonal": lambda n: _single(*_band(n, (0, 1, -1))),
+    "symmetric_tridiagonal": lambda n: _paired(*_band(n, (0, 1)), 1.0),
+    "pentadiagonal": lambda n: _single(*_band(n, (0, 1, -1, 2, -2))),
+    # one matrix per anti-diagonal i + j = s, from the top-left corner down
+    "hankel": lambda n: _constant_along(n, lambda i, j: i + j),
+    # one matrix per diagonal j - i = d, from the bottom-left corner up
+    "toeplitz": lambda n: _constant_along(n, lambda i, j: j - i + n - 1),
+    "diagonal": lambda n: _single(*_band(n, (0,))),
+    "full": lambda n: _single(*_grid(n)),
 }
 
 _DIMENSION = {
@@ -221,9 +191,7 @@ def build_basis(kind: str, n: int) -> StructureBasis:
     least = _MIN_ORDER.get(kind, 1)
     if n < least:
         raise ValueError(f"structure kind {kind!r} needs n >= {least}, got n = {n}")
-    mats = tuple(_frozen(m) for m in _BUILDERS[kind](n))
-    pattern = _frozen(np.column_stack([vec(m) for m in mats]))
-    return StructureBasis(kind=kind, n=n, r=len(mats), matrices=mats, pattern=pattern)
+    return StructureBasis(kind, n, _DIMENSION[kind](n), *map(_frozen, _BUILDERS[kind](n)))
 
 
 def load_custom_basis(matrices: Sequence[np.ndarray]) -> StructureBasis:
@@ -251,21 +219,19 @@ def load_custom_basis(matrices: Sequence[np.ndarray]) -> StructureBasis:
     for idx, m in enumerate(mats):
         if m.ndim != 2 or m.shape != (n, n):
             raise ValueError(f"basis matrix {idx} is not {n}x{n}, got shape {m.shape}")
-    pattern = np.column_stack([vec(m) for m in mats])
-    sv = np.linalg.svd(pattern, compute_uv=False)
-    cutoff = np.finfo(float).eps * max(pattern.shape) * sv[0]
+        if not np.isfinite(m).all():
+            raise ValueError(f"basis matrix {idx} has non-finite entries")
+    stack = np.stack(mats)
+    index, rows, cols = np.nonzero(stack)
+    basis = StructureBasis("custom", n, len(mats), *map(_frozen, (rows, cols, index, stack[index, rows, cols])))
+    sv = np.linalg.svd(basis.pattern, compute_uv=False)
+    cutoff = np.finfo(float).eps * max(basis.pattern.shape) * sv[0]
     rank = int(np.count_nonzero(sv > cutoff))
     if rank < len(mats):
         raise ValueError(
             f"custom basis matrices are linearly dependent, rank {rank} < {len(mats)}"
         )
-    return StructureBasis(
-        kind="custom",
-        n=n,
-        r=len(mats),
-        matrices=tuple(_frozen(m) for m in mats),
-        pattern=_frozen(pattern),
-    )
+    return basis
 
 
 def realize(basis: StructureBasis, coords: np.ndarray) -> StructuredMatrix:
@@ -273,14 +239,15 @@ def realize(basis: StructureBasis, coords: np.ndarray) -> StructuredMatrix:
     coords = np.asarray(coords, dtype=float)
     if coords.shape != (basis.r,):
         raise ValueError(f"expected {basis.r} coordinates, got shape {coords.shape}")
-    dense = (basis.pattern @ coords).reshape((basis.n, basis.n), order="F")
+    dense = np.zeros((basis.n, basis.n), order="F")  # column-major, as vec() reads it
+    np.add.at(dense, (basis.rows, basis.cols), basis.values * coords[basis.index])
     return StructuredMatrix(basis=basis, coords=_frozen(coords), dense=_frozen(dense))
 
 
 def coords_of(basis: StructureBasis, a: np.ndarray, tol: float = DEFAULT_MEMBERSHIP_TOL) -> np.ndarray:
     """Extract the coordinate vector of a matrix in the structure subspace.
 
-    Solves vec(a) = P @ coords in the least-squares sense, then verifies the
+    Solves vec(a) = P @ coords by least squares, then verifies the
     reconstruction residual so matrices outside the subspace are rejected.
 
     Raises
@@ -292,7 +259,7 @@ def coords_of(basis: StructureBasis, a: np.ndarray, tol: float = DEFAULT_MEMBERS
     if a.shape != (basis.n, basis.n):
         raise ValueError(f"expected a {basis.n}x{basis.n} matrix, got shape {a.shape}")
     v = vec(a)
-    coords = basis.pattern_pinv @ v
+    coords = np.linalg.lstsq(basis.pattern, v, rcond=None)[0]
     gap = np.linalg.norm(basis.pattern @ coords - v)
     if gap > tol * max(1.0, np.linalg.norm(a, "fro")):
         raise StructureMembershipError(

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, reports, determinism, pipelines."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,31 @@ def test_solve_usage_and_input_errors(tmp_path):
     assert "does not match eigendata order" in res.err
 
 
+def test_solve_rejects_nan_entry_by_field_path(tmp_path):
+    obj = json.loads((FIXTURES / "example1_eigendata.json").read_text())
+    obj["eigenpairs"][0]["vector"]["re"][1] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(obj))
+    res = run_cli("solve", str(path), "symmetric", "2")
+    assert res.code == 1
+    assert "eigenpairs[0].vector.re: expected finite numbers" in res.err
+    assert "SVD" not in res.err
+
+
+def test_solve_rejects_overflowing_eigenvalue(tmp_path):
+    obj = json.loads((FIXTURES / "example1_eigendata.json").read_text())
+    real = next(p for p in obj["eigenpairs"] if p["lambda"]["im"] == 0)
+    real["lambda"]["re"] = 1e300
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(obj))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # no overflow warning on the way
+        res = run_cli("solve", str(path), "symmetric", "2")
+    assert res.code == 1
+    assert "overflows for degree k = 2" in res.err
+    assert "non-finite number" not in res.err
+
+
 def test_solve_with_custom_basis_file():
     res = run_cli("solve", EX2_DATA, EX2_BASIS, "2", "--tol-consistency", "1e-4")
     assert res.code == 0
@@ -99,6 +125,9 @@ def test_solve_free_parameter_vector(tmp_path):
     assert run_cli("solve", EX1_DATA, "symmetric", "2", "--y", str(y_path)).code == 1
     y_path.write_text(json.dumps(["a", "b"]))
     assert run_cli("solve", EX1_DATA, "symmetric", "2", "--y", str(y_path)).code == 1
+    y_path.write_text(json.dumps([float("nan")] * 12))
+    res = run_cli("solve", EX1_DATA, "symmetric", "2", "--y", str(y_path))
+    assert res.code == 1 and "expected finite numbers" in res.err
 
 
 def test_solve_overdetermined_flag(tmp_path):

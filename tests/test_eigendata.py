@@ -106,6 +106,10 @@ def test_eigenpair_rejects_bad_vectors_eagerly():
         Eigenpair(1.0 + 0j, np.zeros((2, 2)))
     with pytest.raises(ValueError, match="nonzero"):
         Eigenpair(1.0 + 0j, np.zeros(2))
+    with pytest.raises(ValueError, match="non-finite"):
+        Eigenpair(1.0 + 0j, np.array([1.0, np.nan]))
+    with pytest.raises(ValueError, match="non-finite"):
+        Eigenpair(complex(np.inf, 0.0), np.ones(2))
 
 
 def test_from_matrices_validates_block_structure():
@@ -118,6 +122,8 @@ def test_from_matrices_validates_block_structure():
         RealEigenpairs.from_matrices(
             np.eye(3), np.array([[1.0, 2.0, 0.0], [-2.0, 1.0, 0.0], [0.5, 0.0, 3.0]])
         )
+    with pytest.raises(ValueError, match="finite entries"):
+        RealEigenpairs.from_matrices(X, np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="columns but E is"):
         RealEigenpairs.from_matrices(np.eye(3), np.eye(2))
 

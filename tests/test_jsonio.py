@@ -105,6 +105,16 @@ def test_eigendata_errors_name_the_field(tmp_path):
                 ],
             },
         )
+    with pytest.raises(ValueError, match=r"eigenpairs\[0\]\.lambda\.im: expected finite numbers"):
+        write_and_load_eigendata(
+            tmp_path,
+            {"n": 2, "eigenpairs": [{"lambda": {"re": 1.0, "im": float("inf")}, "vector": good_vec}]},
+        )
+    with pytest.raises(ValueError, match=r"eigenpairs\[0\]\.vector\.im: expected finite numbers"):
+        write_and_load_eigendata(
+            tmp_path,
+            {"n": 2, "eigenpairs": [{"lambda": {"re": 1.0, "im": 0.0}, "vector": {**good_vec, "im": [0, 10**400]}}]},
+        )
     with pytest.raises(ValueError, match=r"lambda\.re: expected a number"):
         write_and_load_eigendata(
             tmp_path,
@@ -149,6 +159,9 @@ def test_polynomial_errors(tmp_path):
         "monic": True,
         "coefficients": [{"i": 0, "matrix": [[1.0, 0.0]]}],
     }
+    nan_entry = {**base, "coefficients": [{"i": 0, "matrix": [[1.0, float("nan")], [0.0, 1.0]]}]}
+    with pytest.raises(ValueError, match=r"coefficients\[0\]\.matrix: expected finite numbers"):
+        write_and_load_polynomial(tmp_path, nan_entry)
     with pytest.raises(ValueError, match=r"coefficients\[0\]\.matrix: expected 2x2"):
         write_and_load_polynomial(tmp_path, bad_shape)
     with pytest.raises(ValueError, match="must be a positive integer"):
@@ -172,6 +185,9 @@ def test_custom_basis_file_errors(tmp_path):
         load_custom_basis_file(path)
     path.write_text(json.dumps({"n": 2, "matrices": [[[1.0]]]}))
     with pytest.raises(ValueError, match=r"basis\.matrices\[0\]: expected 2x2"):
+        load_custom_basis_file(path)
+    path.write_text(json.dumps({"n": 1, "matrices": [[[1.0]], [[float("-inf")]]]}))
+    with pytest.raises(ValueError, match=r"basis\.matrices\[1\]: expected finite numbers"):
         load_custom_basis_file(path)
     path.write_text(json.dumps({"n": "two", "matrices": [[[1.0]]]}))
     with pytest.raises(ValueError, match="n must be a positive integer"):

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import max_entry_gap, random_instance
 from eigenpoly import fixtures
-from eigenpoly.eigendata import Eigenpair, encode
+from eigenpoly.eigendata import Eigenpair, RealEigenpairs, encode
 from eigenpoly.solver import (
     ToleranceConfig,
     analyze,
@@ -14,12 +14,76 @@ from eigenpoly.solver import (
     monicize,
     solve,
 )
-from eigenpoly.structures import build_basis, coords_of, load_custom_basis, realize, vec
+from eigenpoly.structures import BUILTIN_KINDS, build_basis, coords_of, load_custom_basis, realize, vec
 from eigenpoly.verify import residual
 
 
 def scalar_pairs(values):
     return [Eigenpair(complex(v), np.array([1.0])) for v in values]
+
+
+def kronecker_system(ep, basis, k):
+    """U and b by the literal formula [((X E^(k-1))^T kron I) P | ... | (X^T kron I) P]."""
+    powers = [np.eye(ep.m)]
+    for _ in range(k):
+        powers.append(powers[-1] @ ep.E)
+    eye = np.eye(ep.n)
+    U = np.hstack([np.kron((ep.X @ powers[i]).T, eye) @ basis.pattern for i in range(k - 1, -1, -1)])
+    return U, -(ep.X @ powers[k]).reshape(-1, order="F")
+
+
+def random_real_form(n, m, seed):
+    """Real-form eigendata with one complex block and m - 2 real columns."""
+    rng = np.random.default_rng(seed)
+    E = np.diag(rng.uniform(-2, 2, m))
+    E[1, 1] = E[0, 0]
+    E[0, 1], E[1, 0] = 0.7, -0.7
+    return RealEigenpairs.from_matrices(rng.standard_normal((n, m)), E)
+
+
+@pytest.mark.parametrize("kind", sorted(BUILTIN_KINDS))
+@pytest.mark.parametrize("n", [3, 5])
+def test_scatter_assembly_is_bit_identical_to_kronecker(kind, n):
+    basis = build_basis(kind, n)
+    for k in (1, 2, 3):
+        ep = random_real_form(n, 4, seed=100 * n + k)
+        system = assemble(ep, basis, k, allow_overdetermined=True)
+        U, b = kronecker_system(ep, basis, k)
+        assert np.array_equal(system.U, U)
+        assert np.array_equal(system.b, b)
+
+
+def test_scatter_assembly_with_overlapping_custom_supports():
+    rng = np.random.default_rng(41)
+    basis = load_custom_basis([rng.standard_normal((4, 4)) for _ in range(5)])
+    for k in (1, 2, 3):
+        ep = random_real_form(4, 5, seed=k)
+        system = assemble(ep, basis, k, allow_overdetermined=True)
+        U, b = kronecker_system(ep, basis, k)
+        assert np.max(np.abs(system.U - U)) <= 1e-14 * np.max(np.abs(U))
+        assert np.array_equal(system.b, b)
+
+
+def test_assemble_rejects_overflowing_powers():
+    ep = RealEigenpairs.from_matrices(np.ones((2, 1)), np.array([[1e200]]))
+    assemble(ep, build_basis("diagonal", 2), 1)  # E^1 is finite
+    with pytest.raises(ValueError, match="overflows for degree k = 2"):
+        assemble(ep, build_basis("diagonal", 2), 2)
+
+
+def test_free_parameter_member_matches_dense_projector():
+    for kind, n, k, seed in [("symmetric", 4, 2, 31), ("full", 3, 3, 32), ("toeplitz", 5, 2, 33)]:
+        basis, _, pairs = random_instance(kind, n, k, seed=seed)
+        ep = encode(pairs[:1], n)
+        _, family = solve(ep, basis, k)
+        assert not family.unique
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            y = rng.uniform(-4, 4, k * basis.r)
+            expected = family.x0 + family.nullspace_projector @ y
+            poly, _ = solve(ep, basis, k, y=y)
+            got = np.concatenate([poly.coefficients[i].coords for i in range(k - 1, -1, -1)])
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13 * np.linalg.norm(expected))
 
 
 def test_assemble_shapes_reference_problems():

@@ -29,6 +29,35 @@ DIMENSION_FORMULAS = {
     "full": lambda n: n * n,
 }
 
+
+def dense_basis(kind, n):
+    """The basis matrices S_1, ..., S_r of a built-in kind, one dense matrix each."""
+
+    def entries(*ijs, signs=None):
+        m = np.zeros((n, n))
+        for t, (i, j) in enumerate(ijs):
+            m[i, j] = 1.0 if signs is None else signs[t]
+        return m
+
+    def band(offsets):
+        return [entries((i, i + d)) for d in offsets for i in range(max(0, -d), n - max(0, d))]
+
+    if kind == "symmetric":
+        return [entries((i, j), (j, i)) for j in range(n) for i in range(j + 1)]
+    if kind == "skew_symmetric":
+        return [entries((i, j), (j, i), signs=(1, -1)) for i in range(n) for j in range(i + 1, n)]
+    if kind == "symmetric_tridiagonal":
+        return band((0,)) + [entries((i, i + 1), (i + 1, i)) for i in range(n - 1)]
+    if kind == "hankel":
+        return [entries(*[(i, s - i) for i in range(n) if 0 <= s - i < n]) for s in range(2 * n - 1)]
+    if kind == "toeplitz":
+        return [entries(*[(i, i + d) for i in range(n) if 0 <= i + d < n]) for d in range(1 - n, n)]
+    if kind == "full":
+        return [entries((i, j)) for j in range(n) for i in range(n)]
+    offsets = {"tridiagonal": (0, 1, -1), "pentadiagonal": (0, 1, -1, 2, -2), "diagonal": (0,)}
+    return band(offsets[kind])
+
+
 SAMPLE = np.array([[4.0, 2.0, 8.0], [2.0, 7.0, 9.0], [8.0, 9.0, 5.0]])
 
 
@@ -84,6 +113,34 @@ def test_dimension_table(kind):
         basis = build_basis(kind, n)
         assert basis.r == r
         assert basis.pattern.shape == (n * n, r)
+
+
+@pytest.mark.parametrize("kind", sorted(BUILTIN_KINDS))
+def test_triplet_pattern_matches_dense_basis(kind):
+    for n in range(MIN_ORDER.get(kind, 1), 7):
+        basis = build_basis(kind, n)
+        expected = np.column_stack([vec(m) for m in dense_basis(kind, n)])
+        np.testing.assert_array_equal(basis.pattern, expected)
+        positions = set(zip(basis.rows, basis.cols, basis.index))
+        assert len(positions) == basis.rows.size  # no position listed twice
+        for a in (basis.rows, basis.cols, basis.index, basis.values, basis.pattern):
+            assert not a.flags.writeable
+
+
+def test_custom_basis_triplets_are_its_nonzeros():
+    rng = np.random.default_rng(3)
+    mats = [rng.standard_normal((3, 3)) * (rng.uniform(size=(3, 3)) < 0.6) for _ in range(4)]
+    basis = load_custom_basis(mats)
+    assert basis.rows.size == sum(np.count_nonzero(m) for m in mats)
+    np.testing.assert_array_equal(basis.pattern, np.column_stack([vec(m) for m in mats]))
+    coords = rng.standard_normal(4)
+    expected = sum(c * m for c, m in zip(coords, mats))
+    np.testing.assert_allclose(realize(basis, coords).dense, expected, rtol=1e-14, atol=1e-14)
+
+
+def test_load_custom_basis_rejects_non_finite():
+    with pytest.raises(ValueError, match="basis matrix 1 has non-finite entries"):
+        load_custom_basis([np.eye(2), np.array([[0.0, np.inf], [0.0, 0.0]])])
 
 
 @pytest.mark.parametrize("kind", sorted(BUILTIN_KINDS))
