@@ -205,8 +205,10 @@ def cmd_basis(args) -> int:
         raise ValueError(f"structure {args.structure!r} is neither a built-in tag nor an existing file")
     if args.print_p:
         lines.append("pattern (row col value):")
-        rows, cols = np.nonzero(basis.pattern)
-        lines += [f"{i} {j} {basis.pattern[i, j]:.17g}" for i, j in zip(rows, cols)]
+        # the row-major order of the pattern matrix P, without forming P
+        entry = basis.rows + basis.n * basis.cols
+        order = np.lexsort((basis.index, entry))
+        lines += [f"{i} {j} {v:.17g}" for i, j, v in zip(entry[order], basis.index[order], basis.values[order])]
     _emit("\n".join(lines) + "\n", args.output)
     return 0
 

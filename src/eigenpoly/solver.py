@@ -18,8 +18,19 @@ vectors of the unknown coefficients:
 triplet (p, q, l, s) scatters U[p + n*c, blk*r + l] += s * (X E^i)[q, c]
 over the columns c, where block blk holds A_i, i = k - 1 - blk.
 
-``analyze`` takes the SVD of U: a solution exists iff U U^+ b = b, and it
-is unique iff U has full column rank.  The general solution is
+Entry (p + n*c, blk*r + l) is nonzero only if S_l has an entry in row p of
+A, so the connected components (P_j, C_j) of the basis
+(``StructureBasis.blocks``) cut U, after a permutation, into diagonal blocks
+U_j with rows {p + n*c : p in P_j} and columns {blk*r + l : l in C_j}.
+The row-separable kinds (full, diagonal, tridiagonal, pentadiagonal) give
+n blocks, one per row of A; for ``full`` this is the matrix equation
+[A_{k-1} ... A_0] [X E^{k-1}; ...; X] = -X E^k solved row by row.  The
+other built-in kinds couple all rows and give one block, U itself.
+
+``analyze`` takes the SVD of each block.  The singular values of U are
+those of its blocks taken together, so one global cutoff on all of them
+gives the rank of U.  A solution exists iff U U^+ b = b, and it is unique
+iff U has full column rank.  The general solution is
 x = U^+ b + (I - V_r^T V_r) y with y free, where the rows of V_r span the
 row space of U; ``solve`` applies the projector as y - V_r^T (V_r y).
 """
@@ -85,7 +96,11 @@ class ToleranceConfig:
 
 @dataclass(frozen=True, eq=False)
 class AssembledSystem:
-    """The linear system U x = b for one inverse problem instance."""
+    """The linear system U x = b for one inverse problem instance.
+
+    ``basis`` is the structure U was assembled for; its components tell
+    ``analyze`` how U splits into blocks.  Without it U is one block.
+    """
 
     U: np.ndarray = field(repr=False)
     b: np.ndarray = field(repr=False)
@@ -93,6 +108,7 @@ class AssembledSystem:
     r: int = 0
     m: int = 0
     n: int = 0
+    basis: StructureBasis | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,30 +221,63 @@ def assemble(
     U = np.zeros((m * n, k * r))
     np.add.at(U, (rows, cols), vals)
     b = -Y[k].reshape(-1, order="F")
-    return AssembledSystem(U=U, b=b, k=k, r=r, m=m, n=n)
+    return AssembledSystem(U=U, b=b, k=k, r=r, m=m, n=n, basis=basis)
+
+
+def _block_indices(system: AssembledSystem):
+    """Row and column indices of U for each component of the basis, or None
+    when U is a single block.
+
+    Component (P, C) of ``basis.blocks`` owns the rows p + n*c of U and the
+    columns blk*r + l, for p in P, l in C and every eigendata column c and
+    coefficient block blk; no other entry of those rows or columns is
+    nonzero.
+    """
+    basis = system.basis
+    if basis is None or (len(basis.blocks) == 1 and basis.blocks[0][0].size == system.n):
+        return None
+    rows = system.n * np.arange(system.m)[:, None]
+    cols = system.r * np.arange(system.k)[:, None]
+    return [((rows + P).ravel(), (cols + C).ravel()) for P, C in basis.blocks]
 
 
 def analyze(system: AssembledSystem, tol: ToleranceConfig = ToleranceConfig()) -> SolutionFamily:
-    """Factorize U by SVD, classify the system and compute the minimal-norm
-    particular solution.
+    """Factorize U block by block, classify the system and compute the
+    minimal-norm particular solution.
 
-    Singular values at or below cutoff * sigma_max count as zero.  The
-    system is consistent iff the pseudoinverse solution reproduces b within
-    ``tol.consistency_tol`` relative to max(1, ||b||), and the solution is
-    unique iff rank(U) equals the number of unknowns k*r.
+    Up to a permutation U is block diagonal with one block per component of
+    the basis (``StructureBasis.blocks``), so its singular values are those
+    of its blocks taken together.  Each block gets its own SVD.  Singular
+    values at or below cutoff * max_j sigma_max(U_j) count as zero, the rank
+    is the sum of the block ranks, and x0 joins the blocks' minimal-norm
+    solutions.  The system is consistent iff U x0 reproduces b within
+    ``tol.consistency_tol`` relative to max(1, ||b||), so rows of U that no
+    block holds still count, and the solution is unique iff rank(U) equals
+    the number of unknowns k*r.
     """
-    W, sigma, Vt = np.linalg.svd(system.U, full_matrices=False)
-    rows, cols = system.U.shape
-    cutoff = tol.rank_cutoff(rows, cols) * (sigma[0] if sigma.size else 0.0)
-    rank = int(np.count_nonzero(sigma > cutoff))
-    x0 = Vt[:rank].T @ ((W[:, :rank].T @ system.b) / sigma[:rank])
-    gap = float(np.linalg.norm(system.U @ x0 - system.b))
-    consistent = gap <= tol.consistency_tol * max(1.0, float(np.linalg.norm(system.b)))
+    U, b = system.U, system.b
+    rows, cols = U.shape
+    blocks = _block_indices(system)
+    parts = [(slice(None), U, b)] if blocks is None else [(C, U[np.ix_(R, C)], b[R]) for R, C in blocks]
+    svds = [np.linalg.svd(Uj, full_matrices=False) for _, Uj, _ in parts]
+    cutoff = tol.rank_cutoff(rows, cols) * max(sigma[0] for _, sigma, _ in svds)
+    ranks = [int(np.count_nonzero(sigma > cutoff)) for _, sigma, _ in svds]
+    rank = sum(ranks)
+    x0 = np.zeros(cols)
+    row_space = svds[0][2][:rank] if blocks is None else np.zeros((rank, cols))
+    start = 0
+    for (C, _, bj), (W, sigma, Vt), rj in zip(parts, svds, ranks):
+        x0[C] = Vt[:rj].T @ ((W[:, :rj].T @ bj) / sigma[:rj])
+        if blocks is not None:  # a single block's rows are already in place
+            row_space[start : start + rj, C] = Vt[:rj]
+        start += rj
+    gap = float(np.linalg.norm(U @ x0 - b))
+    consistent = gap <= tol.consistency_tol * max(1.0, float(np.linalg.norm(b)))
     return SolutionFamily(
         x0=x0,
         rank=rank,
         projector_rank=cols - rank,
-        row_space=Vt[:rank],
+        row_space=row_space,
         consistent=consistent,
         unique=rank == cols,
         consistency_residual=gap,

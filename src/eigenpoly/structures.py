@@ -4,14 +4,20 @@ A structure is a linear subspace of real n-by-n matrices with an ordered
 basis S_1, ..., S_r; a member is A = sum_l alpha_l * S_l.  A basis is held
 as triplet arrays (rows, cols, index, values): S_{index[t]} has values[t]
 at (rows[t], cols[t]).  Built-in kinds generate them from index rules,
-custom bases from the nonzeros of their matrices.  Realizing a member and
-assembling the solver's system scatter-add over the triplets, so the work
-grows with the nonzeros, not with n^2 * r.  The n^2-by-r pattern matrix P
-with vec(A) = P @ alpha is built from the triplets only on request.
+custom bases from the nonzeros of their matrices.  Realizing a member,
+extracting the coordinates of a built-in member and assembling the
+solver's system work on the triplets, so the cost grows with the nonzeros,
+not with n^2 * r.  The n^2-by-r pattern matrix P with vec(A) = P @ alpha
+is built from the triplets only on request.
 
 Built-in kinds have {-1, 0, 1} basis matrices with disjoint supports, so P
 has orthogonal columns.  Custom bases only need linear independence,
 which is checked on load.
+
+``StructureBasis.blocks`` splits the rows of A and the coordinates into the
+connected components of the graph linking row p to coordinate l whenever
+S_l has an entry in row p.  A coordinate acts on the rows of its own
+component only, which makes the solver's system block diagonal.
 """
 
 from __future__ import annotations
@@ -82,6 +88,26 @@ class StructureBasis:
         P[self.rows + self.n * self.cols, self.index] = self.values
         return _frozen(P)
 
+    @cached_property
+    def blocks(self) -> tuple:
+        """Connected components as (rows of A, coordinates) pairs.
+
+        Row p and coordinate l are linked when some triplet has
+        rows == p and index == l.  Each component lists its rows and its
+        coordinates in increasing order, and the components are ordered by
+        their smallest row.  Rows that no coordinate touches belong to no
+        component.
+        """
+        n = self.n
+        label = _components(self.rows, n + self.index, n + self.r)
+        order = np.argsort(label, kind="stable")  # node ids ascend within a component
+        out = []
+        for nodes in np.split(order, np.flatnonzero(np.diff(label[order])) + 1):
+            cut = np.searchsorted(nodes, n)  # rows of A first, then coordinates
+            if cut < nodes.size:
+                out.append((_frozen(nodes[:cut]), _frozen(nodes[cut:] - n)))
+        return tuple(out)
+
 
 @dataclass(frozen=True, eq=False)
 class StructuredMatrix:
@@ -95,6 +121,28 @@ class StructuredMatrix:
     basis: StructureBasis
     coords: np.ndarray = field(repr=False)
     dense: np.ndarray = field(repr=False)
+
+
+def _components(a, b, size):
+    """Component labels of the graph on range(size) with edges (a[t], b[t]).
+
+    Each node ends up labelled by the smallest node of its component: roots
+    hook onto the smallest root across an edge, then pointer jumping flattens
+    the trees, until no edge joins two labels.
+    """
+    label = np.arange(size)
+    while True:
+        la, lb = label[a], label[b]
+        if np.array_equal(la, lb):
+            return label
+        low = np.minimum(la, lb)
+        np.minimum.at(label, la, low)
+        np.minimum.at(label, lb, low)
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
 
 
 def _single(i, j, index=None):
@@ -247,20 +295,25 @@ def realize(basis: StructureBasis, coords: np.ndarray) -> StructuredMatrix:
 def coords_of(basis: StructureBasis, a: np.ndarray, tol: float = DEFAULT_MEMBERSHIP_TOL) -> np.ndarray:
     """Extract the coordinate vector of a matrix in the structure subspace.
 
-    Solves vec(a) = P @ coords by least squares, then verifies the
-    reconstruction residual so matrices outside the subspace are rejected.
+    Built-in bases have orthogonal pattern columns, so each coordinate is
+    read off the triplets as sum_t s_t a[p_t, q_t] / sum_t s_t^2.  Custom
+    bases solve vec(a) = P @ coords by least squares.  The reconstruction
+    is then verified so matrices outside the subspace are rejected.
 
     Raises
     ------
     StructureMembershipError
-        If ||P @ coords - vec(a)||_2 > tol * max(1, ||a||_F).
+        If ||realize(coords) - a||_F > tol * max(1, ||a||_F).
     """
     a = np.asarray(a, dtype=float)
     if a.shape != (basis.n, basis.n):
         raise ValueError(f"expected a {basis.n}x{basis.n} matrix, got shape {a.shape}")
-    v = vec(a)
-    coords = np.linalg.lstsq(basis.pattern, v, rcond=None)[0]
-    gap = np.linalg.norm(basis.pattern @ coords - v)
+    if basis.kind == "custom":
+        coords = np.linalg.lstsq(basis.pattern, vec(a), rcond=None)[0]
+    else:
+        weights = np.bincount(basis.index, basis.values * basis.values, basis.r)
+        coords = np.bincount(basis.index, basis.values * a[basis.rows, basis.cols], basis.r) / weights
+    gap = np.linalg.norm(realize(basis, coords).dense - a)
     if gap > tol * max(1.0, np.linalg.norm(a, "fro")):
         raise StructureMembershipError(
             f"matrix is not {basis.kind} within tolerance "

@@ -117,8 +117,10 @@ def companion_eigs(poly) -> list:
 
     The companion matrix has the negated trailing coefficients across its
     first block row and identity blocks on the subdiagonal; its eigenvectors
-    stack lambda^{k-1} z down to z, so the polynomial eigenvector is read off
-    the leading n-block and normalized to unit length.
+    stack lambda^{k-1} z down to z.  The polynomial eigenvector is read off
+    the leading n-block when |lambda| >= 1 and off the trailing n-block
+    otherwise, the block of largest weight, so its relative accuracy does
+    not degrade like eps / |lambda|^{k-1}; it is normalized to unit length.
 
     Eigenvalues with |imag| <= 1e-10 * (1 + |real|) are snapped to the real
     axis.  Conjugate pairs are collapsed to the representative with positive
@@ -142,11 +144,8 @@ def companion_eigs(poly) -> list:
         if lam.imag < 0.0:
             continue
         w = vectors[:, idx]
-        z = w[:n]
-        if np.linalg.norm(z) <= 1e-12 * np.linalg.norm(w):
-            # degenerate top block (lambda near zero, k >= 2): the trailing
-            # block holds the eigenvector with unit weight
-            z = w[-n:]
+        # the block with the largest weight |lambda|^j holds z most accurately
+        z = w[:n] if abs(lam) >= 1.0 else w[-n:]
         if lam.imag == 0.0:
             z = _realified(z).astype(complex)
         z = z / np.linalg.norm(z)

@@ -6,9 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import FIXTURES, run_cli
+from conftest import FIXTURES, MIN_ORDER, run_cli
 from eigenpoly.jsonio import dumps, polynomial_to_obj
-from eigenpoly.structures import build_basis
+from eigenpoly.structures import BUILTIN_KINDS, build_basis
 
 EX1_DATA = str(FIXTURES / "example1_eigendata.json")
 EX1_POLY = str(FIXTURES / "example1_solution.json")
@@ -278,6 +278,17 @@ def test_basis_summary_and_pattern_dump():
         i, j, v = line.split()
         pattern[int(i), int(j)] = float(v)
     np.testing.assert_array_equal(pattern, build_basis("symmetric", 3).pattern)
+
+
+@pytest.mark.parametrize("kind", sorted(BUILTIN_KINDS))
+def test_basis_pattern_dump_lists_the_pattern_row_by_row(kind):
+    for n in (3, 5):
+        if n < MIN_ORDER.get(kind, 1):
+            continue
+        pattern = build_basis(kind, n).pattern
+        expected = [f"{i} {j} {pattern[i, j]:.17g}" for i, j in zip(*np.nonzero(pattern))]
+        out = run_cli("basis", kind, "--n", str(n), "--print-p").out.splitlines()
+        assert out[out.index("pattern (row col value):") + 1 :] == expected
 
 
 def test_basis_custom_file_and_errors():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import max_entry_gap, random_instance
+from conftest import gated_pairs, max_entry_gap, random_instance
 from eigenpoly import fixtures
 from eigenpoly.eigendata import Eigenpair, RealEigenpairs, encode
 from eigenpoly.solver import (
@@ -15,7 +15,7 @@ from eigenpoly.solver import (
     solve,
 )
 from eigenpoly.structures import BUILTIN_KINDS, build_basis, coords_of, load_custom_basis, realize, vec
-from eigenpoly.verify import residual
+from eigenpoly.verify import choose_eigenpairs, residual
 
 
 def scalar_pairs(values):
@@ -72,7 +72,9 @@ def test_assemble_rejects_overflowing_powers():
 
 
 def test_free_parameter_member_matches_dense_projector():
-    for kind, n, k, seed in [("symmetric", 4, 2, 31), ("full", 3, 3, 32), ("toeplitz", 5, 2, 33)]:
+    cases = [("symmetric", 4, 2, 31), ("full", 3, 3, 32), ("toeplitz", 5, 2, 33),
+             ("tridiagonal", 4, 2, 34), ("pentadiagonal", 5, 2, 35), ("full", 4, 2, 36)]
+    for kind, n, k, seed in cases:
         basis, _, pairs = random_instance(kind, n, k, seed=seed)
         ep = encode(pairs[:1], n)
         _, family = solve(ep, basis, k)
@@ -365,3 +367,108 @@ def test_assemble_rejects_empty_eigendata():
     assert empty.m == 0
     with pytest.raises(ValueError, match="at least one eigenpair"):
         assemble(empty, build_basis("full", 2), 1)
+
+
+# --- block-by-block factorization against the dense SVD of the same U ---
+
+ONE_BLOCK = ("symmetric", "skew_symmetric", "hankel", "toeplitz", "symmetric_tridiagonal")
+EPS = np.finfo(float).eps
+
+
+def dense_oracle(system, tol=ToleranceConfig()):
+    """Rank, x0 and singular values from one SVD of the whole U."""
+    W, sigma, Vt = np.linalg.svd(system.U, full_matrices=False)
+    cutoff = tol.rank_cutoff(*system.U.shape) * sigma[0]
+    rank = int(np.count_nonzero(sigma > cutoff))
+    x0 = Vt[:rank].T @ ((W[:, :rank].T @ system.b) / sigma[:rank])
+    return rank, x0, sigma, cutoff
+
+
+def oracle_systems(kind, n=5):
+    """Generated data at k = 1, 2, 3: one or two columns, half the spectrum,
+    all of it, and all of it with noise on X, which is inconsistent wherever
+    U has more rows than rank."""
+    for k in (1, 2, 3):
+        basis, gen, pairs = random_instance(kind, n, k, seed=7 * k + 1)
+        good = gated_pairs(gen, pairs)
+        for m in (1, k * n // 2, k * n):
+            for width in (m, m + 1, m - 1):  # conjugate pairs fill two columns
+                try:
+                    chosen = choose_eigenpairs(good, width, np.random.default_rng(m))
+                    break
+                except ValueError:
+                    continue
+            ep = encode(chosen, n)
+            yield assemble(ep, basis, k)
+        rng = np.random.default_rng(k)
+        noisy = RealEigenpairs.from_matrices(ep.X + 1e-3 * rng.standard_normal(ep.X.shape), ep.E)
+        yield assemble(noisy, basis, k)
+
+
+def assert_matches_dense_oracle(system, family, tol=ToleranceConfig()):
+    rank, x0, sigma, cutoff = dense_oracle(system, tol)
+    # the comparison only means something where the rank is clear
+    assert sigma[rank - 1] >= 1e3 * cutoff and (rank == sigma.size or sigma[rank] <= cutoff / 10)
+    assert family.rank == rank
+    assert family.projector_rank == system.U.shape[1] - rank
+    assert family.unique == (rank == system.U.shape[1])
+    gap = np.linalg.norm(system.U @ x0 - system.b)
+    assert family.consistent == (gap <= tol.consistency_tol * max(1.0, np.linalg.norm(system.b)))
+    # first-order perturbation bounds for the truncated least-squares solution
+    kappa = sigma[0] / sigma[rank - 1]
+    scale = 1e3 * EPS * kappa
+    assert np.linalg.norm(system.U @ (family.x0 - x0)) <= scale * np.linalg.norm(system.b)
+    assert np.linalg.norm(family.x0 - x0) <= scale * (np.linalg.norm(x0) + kappa * gap / sigma[0])
+    np.testing.assert_allclose(family.consistency_residual, gap, rtol=1e-6, atol=scale * np.linalg.norm(system.b))
+    Vr = family.row_space
+    assert Vr.shape == (rank, system.U.shape[1])
+    np.testing.assert_allclose(Vr @ Vr.T, np.eye(rank), atol=1e2 * EPS * system.U.shape[1])
+    np.testing.assert_allclose(system.U - system.U @ Vr.T @ Vr, 0.0, atol=scale * sigma[0])
+
+
+@pytest.mark.parametrize("kind", sorted(BUILTIN_KINDS))
+def test_block_analysis_matches_dense_svd(kind):
+    verdicts = set()
+    for system in oracle_systems(kind):
+        family = analyze(system)
+        assert_matches_dense_oracle(system, family)
+        if kind in ONE_BLOCK:
+            # U is one block: the same SVD of the same matrix
+            assert np.array_equal(family.x0, dense_oracle(system)[1])
+        verdicts.add((family.consistent, family.unique))
+    assert (True, False) in verdicts and (True, True) in verdicts
+
+
+def test_block_analysis_covers_inconsistent_data():
+    for kind in ("tridiagonal", "diagonal", "symmetric"):
+        families = [analyze(system) for system in oracle_systems(kind)]
+        assert any(not f.consistent for f in families)
+
+
+def test_block_rank_uses_the_global_cutoff():
+    # one row of X sits far below the others, so the diagonal block it
+    # feeds has singular values under the global cutoff though they are
+    # large next to that block's own largest one
+    rng = np.random.default_rng(51)
+    X = rng.standard_normal((4, 6))
+    X[2] *= 1e-17
+    ep = RealEigenpairs.from_matrices(X, np.diag(rng.uniform(-2, 2, 6)))
+    system = assemble(ep, build_basis("diagonal", 4), 2, allow_overdetermined=True)
+    family = analyze(system)
+    assert_matches_dense_oracle(system, family)
+    assert family.rank == 6
+    assert np.all(family.x0[[2, 6]] == 0.0)
+
+
+def test_block_analysis_counts_untouched_rows_in_the_gap():
+    # no basis matrix touches row 1 of A, so those rows of U are zero while
+    # b has entries there: the data cannot be matched
+    mats = [np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 0.0, 1.0]), np.array([[0, 0, 1.0], [0, 0, 0], [0, 0, 0]])]
+    basis = load_custom_basis(mats)
+    ep = random_real_form(3, 2, seed=52)
+    system = assemble(ep, basis, 1)
+    family = analyze(system)
+    assert_matches_dense_oracle(system, family)
+    assert not family.consistent
+    untouched = np.linalg.norm(system.b[1::3])
+    assert family.consistency_residual >= untouched > 0.0

@@ -152,6 +152,77 @@ def test_pattern_columns_are_orthogonal(kind):
     np.testing.assert_array_equal(off, np.zeros_like(off))
 
 
+ROW_SEPARABLE = ("full", "diagonal", "tridiagonal", "pentadiagonal")
+
+
+@pytest.mark.parametrize("kind", sorted(BUILTIN_KINDS))
+@pytest.mark.parametrize("n", [3, 5, 6])
+def test_blocks_count_and_partition(kind, n):
+    basis = build_basis(kind, n)
+    blocks = basis.blocks
+    # row-separable kinds split by row of A, every other kind couples all rows
+    assert len(blocks) == (n if kind in ROW_SEPARABLE else 1)
+    rows = np.concatenate([P for P, _ in blocks])
+    coords = np.concatenate([C for _, C in blocks])
+    np.testing.assert_array_equal(np.sort(rows), np.arange(n))
+    np.testing.assert_array_equal(np.sort(coords), np.arange(basis.r))
+    # every triplet links a row and a coordinate of the same block
+    owner = np.empty(n, int)
+    for j, (P, C) in enumerate(blocks):
+        owner[P] = j
+        assert np.all(np.diff(P) > 0) and np.all(np.diff(C) > 0)
+        assert not P.flags.writeable and not C.flags.writeable
+        np.testing.assert_array_equal(owner[basis.rows[np.isin(basis.index, C)]], j)
+    assert basis.blocks is blocks  # built once per basis
+
+
+def test_blocks_of_custom_basis_with_two_row_groups():
+    def at(*entries):
+        m = np.zeros((4, 4))
+        for i, j in entries:
+            m[i, j] = 1.0
+        return m
+
+    # coordinates 0 and 2 couple rows 0 and 2, coordinates 1 and 3 rows 1 and 3
+    basis = load_custom_basis([at((0, 1), (2, 3)), at((1, 0)), at((2, 2)), at((3, 1), (1, 2))])
+    got = [(P.tolist(), C.tolist()) for P, C in basis.blocks]
+    assert got == [([0, 2], [0, 2]), ([1, 3], [1, 3])]
+
+
+def test_blocks_leave_out_untouched_rows():
+    # row 1 of A is zero in every basis matrix
+    mats = [np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 0.0, 1.0]), np.array([[0, 0, 1.0], [0, 0, 0], [0, 0, 0]])]
+    basis = load_custom_basis(mats)
+    got = [(P.tolist(), C.tolist()) for P, C in basis.blocks]
+    assert got == [([0], [0, 2]), ([2], [1])]
+
+
+def test_blocks_follow_a_chain_in_any_order():
+    # coordinate l links rows perm[l] and perm[l + 1]: one chain through all
+    # rows, visited in a random order; cutting one link splits it in two
+    n = 12
+    perm = np.random.default_rng(13).permutation(n)
+
+    def link(i, j):
+        m = np.zeros((n, n))
+        m[i, j] = m[j, i] = 1.0
+        return m
+
+    mats = [link(perm[l], perm[l + 1]) for l in range(n - 1)]
+    assert [C.size for _, C in load_custom_basis(mats).blocks] == [n - 1]
+    cut = load_custom_basis(mats[:4] + mats[5:])
+    got = sorted((sorted(P.tolist()), C.tolist()) for P, C in cut.blocks)
+    assert got == sorted([(sorted(perm[:5].tolist()), [0, 1, 2, 3]), (sorted(perm[5:].tolist()), list(range(4, n - 2)))])
+
+
+@pytest.mark.parametrize("kind", sorted(BUILTIN_KINDS))
+def test_builtin_coords_match_least_squares(kind):
+    basis = build_basis(kind, max(MIN_ORDER.get(kind, 1), 5))
+    a = realize(basis, np.random.default_rng(12).uniform(-3, 3, basis.r)).dense
+    expected = np.linalg.lstsq(basis.pattern, vec(a), rcond=None)[0]
+    np.testing.assert_allclose(coords_of(basis, a), expected, rtol=0, atol=1e-14 * np.abs(expected).max())
+
+
 @pytest.mark.parametrize("kind", sorted(BUILTIN_KINDS))
 def test_realize_coords_round_trip(kind):
     n = max(MIN_ORDER.get(kind, 1), 5)

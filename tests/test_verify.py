@@ -1,11 +1,14 @@
 """Forward residuals, companion eigenpairs, reference problem regeneration."""
 
+import json
+
 import numpy as np
 import pytest
 
-from conftest import pair_residual, random_instance
+from conftest import pair_residual, random_instance, run_cli
 from eigenpoly import fixtures
 from eigenpoly.eigendata import Eigenpair, encode
+from eigenpoly.jsonio import load_polynomial, obj_to_eigenpairs
 from eigenpoly.solver import ToleranceConfig, solve
 from eigenpoly.structures import build_basis
 from eigenpoly.verify import (
@@ -76,6 +79,32 @@ def test_companion_zero_eigenvalue_vector_fallback():
     np.testing.assert_allclose(values, [-3.0, 0.0], atol=1e-14)
     zero_pair = min(pairs, key=lambda p: abs(p.eigenvalue))
     np.testing.assert_allclose(np.abs(zero_pair.vector), [1.0], rtol=1e-12)
+
+
+def backward_error(coeffs, pair):
+    """Normwise backward error of one eigenpair of a monic polynomial (Tisseur, 2000)."""
+    lam, z = pair.eigenvalue, pair.vector
+    value = lam ** len(coeffs) * z + sum(lam**i * (a @ z) for i, a in enumerate(coeffs))
+    weight = abs(lam) ** len(coeffs) + sum(abs(lam) ** i * np.linalg.norm(a, 2) for i, a in enumerate(coeffs))
+    return float(np.linalg.norm(value) / (weight * np.linalg.norm(z)))
+
+
+@pytest.mark.parametrize(
+    "kind,n,k,m,seed",
+    [("hankel", 3, 4, 8, 1232847585), ("tridiagonal", 6, 3, 10, 54038712)],
+)
+def test_generated_eigendata_satisfies_its_generator(tmp_path, kind, n, k, m, seed):
+    # each case selects an eigenvalue of modulus below 1e-3, whose vector
+    # the top block lambda^(k-1) z of the companion eigenvector loses
+    data, truth = tmp_path / "data.json", tmp_path / "truth.json"
+    res = run_cli("generate", "random", "--n", str(n), "--k", str(k), "--structure", kind, "--m", str(m),
+                  "--seed", str(seed), "--output", str(data), "--ground-truth", str(truth))
+    assert res.code == 0
+    _, _, coeffs = load_polynomial(truth)
+    _, pairs = obj_to_eigenpairs(json.loads(data.read_text()))
+    assert min(abs(p.eigenvalue) for p in pairs) < 1e-3
+    assert max(backward_error(coeffs, p) for p in pairs) <= 1e-10
+    assert run_cli("verify", str(truth), str(data)).code == 0
 
 
 @pytest.mark.parametrize(
