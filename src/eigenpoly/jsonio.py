@@ -8,7 +8,6 @@ Formats
 -------
 eigendata     {"n": int, "eigenpairs": [{"lambda": {"re", "im"},
                "vector": {"re": [...], "im": [...]}}]}
-real form     {"E": [[...]], "X": [[...]]}
 polynomial    {"n": int, "k": int, "monic": true,
                "coefficients": [{"i": int, "matrix": [[...]]}]}
 custom basis  {"n": int, "matrices": [[[...]], ...]}
@@ -34,7 +33,6 @@ __all__ = [
     "load_polynomial",
     "obj_to_eigenpairs",
     "polynomial_to_obj",
-    "real_form_to_obj",
 ]
 
 
@@ -167,10 +165,6 @@ def eigendata_to_obj(n: int, pairs) -> dict:
             for p in pairs
         ],
     }
-
-
-def real_form_to_obj(ep: RealEigenpairs) -> dict:
-    return {"E": _matrix(ep.E), "X": _matrix(ep.X)}
 
 
 def load_eigendata(path) -> RealEigenpairs:

@@ -14,16 +14,15 @@ vectors of the unknown coefficients:
 
     U = [ ((X E^{k-1})^T kron I) P | ... | (X^T kron I) P ],   b = vec(-X E^k)
 
-``assemble`` forms neither the Kronecker products nor P: each structure
-triplet (p, q, l, s) scatters U[p + n*c, blk*r + l] += s * (X E^i)[q, c]
-over the columns c, where block blk holds A_i, i = k - 1 - blk.
-
-Entry (p + n*c, blk*r + l) is nonzero only if S_l has an entry in row p of
-A, so the connected components (P_j, C_j) of the basis
-(``StructureBasis.blocks``) cut U, after a permutation, into diagonal blocks
-U_j with rows {p + n*c : p in P_j} and columns {blk*r + l : l in C_j}.
-The row-separable kinds (full, diagonal, tridiagonal, pentadiagonal) give
-n blocks, one per row of A; for ``full`` this is the matrix equation
+``assemble`` forms neither the Kronecker products nor P nor U itself.
+Entry (p + n*c, blk*r + l) of U, where block blk holds A_i with
+i = k - 1 - blk, is nonzero only if S_l has an entry in row p of A, so the
+connected components (P_j, C_j) of the basis (``StructureBasis.blocks``)
+cut U, after a permutation, into diagonal blocks U_j with rows
+{p + n*c : p in P_j} and columns {blk*r + l : l in C_j}.  Each structure
+triplet (p, q, l, s) scatters s * (X E^i)[q, c] into its block.  The
+row-separable kinds (full, diagonal, tridiagonal, pentadiagonal) give n
+blocks, one per row of A; for ``full`` this is the matrix equation
 [A_{k-1} ... A_0] [X E^{k-1}; ...; X] = -X E^k solved row by row.  The
 other built-in kinds couple all rows and give one block, U itself.
 
@@ -32,23 +31,18 @@ those of its blocks taken together, so one global cutoff on all of them
 gives the rank of U.  A solution exists iff U U^+ b = b, and it is unique
 iff U has full column rank.  The general solution is
 x = U^+ b + (I - V_r^T V_r) y with y free, where the rows of V_r span the
-row space of U; ``solve`` applies the projector as y - V_r^T (V_r y).
+row space of U; ``SolutionFamily.project`` applies the projector block by
+block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .eigendata import RealEigenpairs
-from .structures import (
-    DEFAULT_MEMBERSHIP_TOL,
-    StructureBasis,
-    StructuredMatrix,
-    realize,
-)
+from .structures import StructureBasis, StructuredMatrix, realize
 
 __all__ = [
     "AssembledSystem",
@@ -72,16 +66,15 @@ class ToleranceConfig:
 
     ``rank_cutoff_factor`` multiplies the largest singular value of U to give
     the rank cutoff; when None it defaults to eps * max(m*n, k*r), the usual
-    dense least-squares convention.  All other fields are relative tolerances.
+    dense least-squares convention.  ``consistency_tol`` is relative to
+    max(1, ||b||).
     """
 
     rank_cutoff_factor: float | None = None
     consistency_tol: float = DEFAULT_CONSISTENCY_TOL
-    membership_tol: float = DEFAULT_MEMBERSHIP_TOL
-    pd_tol: float = DEFAULT_PD_TOL
 
     def __post_init__(self):
-        for name in ("rank_cutoff_factor", "consistency_tol", "membership_tol", "pd_tol"):
+        for name in ("rank_cutoff_factor", "consistency_tol"):
             value = getattr(self, name)
             if value is None and name == "rank_cutoff_factor":
                 continue
@@ -98,44 +91,56 @@ class ToleranceConfig:
 class AssembledSystem:
     """The linear system U x = b for one inverse problem instance.
 
-    ``basis`` is the structure U was assembled for; its components tell
-    ``analyze`` how U splits into blocks.  Without it U is one block.
+    ``blocks`` lists one (rows, cols, U_j) triple per component of the
+    basis, with U_j = U[np.ix_(rows, cols)]; U is zero outside its blocks.
     """
 
-    U: np.ndarray = field(repr=False)
+    blocks: tuple = field(repr=False)
     b: np.ndarray = field(repr=False)
     k: int = 0
     r: int = 0
     m: int = 0
     n: int = 0
-    basis: StructureBasis | None = field(default=None, repr=False)
+
+    @property
+    def U(self) -> np.ndarray:
+        """The dense (m*n)-by-(k*r) matrix, built from the blocks on each read."""
+        U = np.zeros((self.m * self.n, self.k * self.r))
+        for rows, cols, Uj in self.blocks:
+            U[np.ix_(rows, cols)] = Uj
+        return U
 
 
 @dataclass(frozen=True, eq=False)
 class SolutionFamily:
     """Diagnostics and parameterization of the affine solution set.
 
-    The full solution set, when nonempty, is x0 + nullspace_projector @ y
-    over free vectors y of length k*r.  ``row_space`` holds orthonormal
-    rows V_r spanning the row space of U, so the projector is
-    I - V_r^T V_r.  ``unique`` records whether U has full column rank,
-    i.e. whether that family has dimension zero.
+    The full solution set, when nonempty, is x0 + project(y) over free
+    vectors y of length k*r.  ``factors`` holds one (cols, V_j) pair per
+    block of U, where the orthonormal rows of V_j span the row space of
+    that block on the coordinates ``cols``.  ``unique`` records whether U
+    has full column rank, i.e. whether that family has dimension zero.
     """
 
     x0: np.ndarray = field(repr=False)
     rank: int
     projector_rank: int
-    row_space: np.ndarray = field(repr=False)
+    factors: tuple = field(repr=False)
     consistent: bool
     unique: bool
     consistency_residual: float
     tolerances: ToleranceConfig
 
-    @cached_property
-    def nullspace_projector(self) -> np.ndarray:
-        """The dense (k*r)-by-(k*r) projector onto the null space of U."""
-        Vr = self.row_space
-        return np.eye(Vr.shape[1]) - Vr.T @ Vr
+    def project(self, y: np.ndarray) -> np.ndarray:
+        """Project y onto the null space of U: y - V_r^T V_r y, block by block.
+
+        ``y`` has length k*r; a (k*r, p) array is projected column by column.
+        """
+        out = np.array(y, dtype=float)
+        for cols, V in self.factors:
+            yj = out[cols]
+            out[cols] = yj - V.T @ (V @ yj)
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,6 +179,18 @@ def _powers(ep: RealEigenpairs, k: int) -> list:
     return out
 
 
+def _places(parts, size: int):
+    """For disjoint index arrays ``parts`` over range(size): the part each
+    index lies in, its position within that part, and the part sizes."""
+    sizes = np.array([p.size for p in parts])
+    nodes = np.concatenate(parts)
+    part = np.zeros(size, dtype=np.intp)
+    place = np.zeros(size, dtype=np.intp)
+    part[nodes] = np.repeat(np.arange(len(parts)), sizes)
+    place[nodes] = np.arange(nodes.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return part, place, sizes
+
+
 def assemble(
     ep: RealEigenpairs,
     basis: StructureBasis,
@@ -199,7 +216,8 @@ def assemble(
     Returns
     -------
     AssembledSystem
-        With U of shape (m*n, k*r) and b of length m*n.
+        With one block of shape (m*|P_j|, k*|C_j|) per component (P_j, C_j)
+        of the basis, and b of length m*n.
     """
     if k < 1:
         raise ValueError(f"polynomial degree must be at least 1, got k = {k}")
@@ -214,70 +232,68 @@ def assemble(
         )
     n, r, m = ep.n, basis.r, ep.m
     Y = _powers(ep, k)
+    part, row_at, height = _places([P for P, _ in basis.blocks], n)
+    _, col_at, width = _places([C for _, C in basis.blocks], r)
+    size = m * height * k * width
+    start = np.cumsum(size) - size
+    # every block lies C-ordered in one buffer; triplet (p, q, l, s) of
+    # component j lands in row c*|P_j| + (place of p in P_j) and column
+    # blk*|C_j| + (place of l in C_j) of U_j
+    j = part[basis.rows]
+    stride = k * width[j]
+    first = start[j] + row_at[basis.rows] * stride + col_at[basis.index]
+    at = (first + np.multiply.outer(np.arange(k), width[j]))[:, :, None]
+    at = at + np.multiply.outer(height[j] * stride, np.arange(m))
     # (block, triplet, eigendata column) -> s * (X E^i)[q, c], i = k - 1 - block
     vals = basis.values[None, :, None] * np.stack(Y[k - 1 :: -1])[:, basis.cols, :]
-    rows = basis.rows[None, :, None] + n * np.arange(m)
-    cols = r * np.arange(k)[:, None, None] + basis.index[None, :, None]
-    U = np.zeros((m * n, k * r))
-    np.add.at(U, (rows, cols), vals)
+    buf = np.zeros(size.sum())
+    np.add.at(buf, at, vals)
+    blocks = tuple(
+        (
+            (n * np.arange(m)[:, None] + P).ravel(),
+            (r * np.arange(k)[:, None] + C).ravel(),
+            buf[lo : lo + sz].reshape(m * P.size, k * C.size),
+        )
+        for (P, C), lo, sz in zip(basis.blocks, start, size)
+    )
     b = -Y[k].reshape(-1, order="F")
-    return AssembledSystem(U=U, b=b, k=k, r=r, m=m, n=n, basis=basis)
-
-
-def _block_indices(system: AssembledSystem):
-    """Row and column indices of U for each component of the basis, or None
-    when U is a single block.
-
-    Component (P, C) of ``basis.blocks`` owns the rows p + n*c of U and the
-    columns blk*r + l, for p in P, l in C and every eigendata column c and
-    coefficient block blk; no other entry of those rows or columns is
-    nonzero.
-    """
-    basis = system.basis
-    if basis is None or (len(basis.blocks) == 1 and basis.blocks[0][0].size == system.n):
-        return None
-    rows = system.n * np.arange(system.m)[:, None]
-    cols = system.r * np.arange(system.k)[:, None]
-    return [((rows + P).ravel(), (cols + C).ravel()) for P, C in basis.blocks]
+    return AssembledSystem(blocks=blocks, b=b, k=k, r=r, m=m, n=n)
 
 
 def analyze(system: AssembledSystem, tol: ToleranceConfig = ToleranceConfig()) -> SolutionFamily:
     """Factorize U block by block, classify the system and compute the
     minimal-norm particular solution.
 
-    Up to a permutation U is block diagonal with one block per component of
-    the basis (``StructureBasis.blocks``), so its singular values are those
-    of its blocks taken together.  Each block gets its own SVD.  Singular
-    values at or below cutoff * max_j sigma_max(U_j) count as zero, the rank
-    is the sum of the block ranks, and x0 joins the blocks' minimal-norm
-    solutions.  The system is consistent iff U x0 reproduces b within
-    ``tol.consistency_tol`` relative to max(1, ||b||), so rows of U that no
-    block holds still count, and the solution is unique iff rank(U) equals
-    the number of unknowns k*r.
+    The singular values of U are those of its blocks taken together.  Each
+    block gets its own SVD.  Singular values at or below
+    cutoff * max_j sigma_max(U_j) count as zero, the rank is the sum of the
+    block ranks, and x0 joins the blocks' minimal-norm solutions.  The
+    system is consistent iff U x0 reproduces b within ``tol.consistency_tol``
+    relative to max(1, ||b||); the gap starts from -b, so rows of U that no
+    block holds still count.  The solution is unique iff rank(U) equals the
+    number of unknowns k*r.
     """
-    U, b = system.U, system.b
-    rows, cols = U.shape
-    blocks = _block_indices(system)
-    parts = [(slice(None), U, b)] if blocks is None else [(C, U[np.ix_(R, C)], b[R]) for R, C in blocks]
-    svds = [np.linalg.svd(Uj, full_matrices=False) for _, Uj, _ in parts]
-    cutoff = tol.rank_cutoff(rows, cols) * max(sigma[0] for _, sigma, _ in svds)
-    ranks = [int(np.count_nonzero(sigma > cutoff)) for _, sigma, _ in svds]
-    rank = sum(ranks)
+    b = system.b
+    svds = [np.linalg.svd(Uj, full_matrices=False) for _, _, Uj in system.blocks]
+    cols = system.k * system.r
+    cutoff = tol.rank_cutoff(system.m * system.n, cols) * max(sigma[0] for _, sigma, _ in svds)
     x0 = np.zeros(cols)
-    row_space = svds[0][2][:rank] if blocks is None else np.zeros((rank, cols))
-    start = 0
-    for (C, _, bj), (W, sigma, Vt), rj in zip(parts, svds, ranks):
-        x0[C] = Vt[:rj].T @ ((W[:, :rj].T @ bj) / sigma[:rj])
-        if blocks is not None:  # a single block's rows are already in place
-            row_space[start : start + rj, C] = Vt[:rj]
-        start += rj
-    gap = float(np.linalg.norm(U @ x0 - b))
+    misfit = -b
+    factors = []
+    for (R, C, Uj), (W, sigma, Vt) in zip(system.blocks, svds):
+        rj = int(np.count_nonzero(sigma > cutoff))
+        xj = Vt[:rj].T @ ((W[:, :rj].T @ b[R]) / sigma[:rj])
+        x0[C] = xj
+        misfit[R] += Uj @ xj
+        factors.append((C, Vt[:rj]))
+    rank = sum(V.shape[0] for _, V in factors)
+    gap = float(np.linalg.norm(misfit))
     consistent = gap <= tol.consistency_tol * max(1.0, float(np.linalg.norm(b)))
     return SolutionFamily(
         x0=x0,
         rank=rank,
         projector_rank=cols - rank,
-        row_space=row_space,
+        factors=tuple(factors),
         consistent=consistent,
         unique=rank == cols,
         consistency_residual=gap,
@@ -335,8 +351,7 @@ def solve(
         y = np.asarray(y, dtype=float)
         if y.shape != (k * basis.r,):
             raise ValueError(f"free parameter y must have length k*r = {k * basis.r}, got shape {y.shape}")
-        Vr = family.row_space
-        x = family.x0 + (y - Vr.T @ (Vr @ y))
+        x = family.x0 + family.project(y)
     coeffs = tuple(
         realize(basis, extract_coefficient(x, i, k, basis.r)) for i in range(k)
     )

@@ -191,16 +191,17 @@ _BUILDERS = {
     "full": lambda n: _single(*_grid(n)),
 }
 
+# formula text, as ``basis`` prints it, and the subspace dimension at order n
 _DIMENSION = {
-    "symmetric": lambda n: n * (n + 1) // 2,
-    "skew_symmetric": lambda n: n * (n - 1) // 2,
-    "tridiagonal": lambda n: 3 * n - 2,
-    "symmetric_tridiagonal": lambda n: 2 * n - 1,
-    "pentadiagonal": lambda n: 5 * n - 6,
-    "hankel": lambda n: 2 * n - 1,
-    "toeplitz": lambda n: 2 * n - 1,
-    "diagonal": lambda n: n,
-    "full": lambda n: n * n,
+    "symmetric": ("n(n+1)/2", lambda n: n * (n + 1) // 2),
+    "skew_symmetric": ("n(n-1)/2", lambda n: n * (n - 1) // 2),
+    "tridiagonal": ("3n-2", lambda n: 3 * n - 2),
+    "symmetric_tridiagonal": ("2n-1", lambda n: 2 * n - 1),
+    "pentadiagonal": ("5n-6", lambda n: 5 * n - 6),
+    "hankel": ("2n-1", lambda n: 2 * n - 1),
+    "toeplitz": ("2n-1", lambda n: 2 * n - 1),
+    "diagonal": ("n", lambda n: n),
+    "full": ("n^2", lambda n: n * n),
 }
 
 # smallest n for which the dimension formula yields a nonempty basis
@@ -213,7 +214,7 @@ def builtin_dimension(kind: str, n: int) -> int:
     """Closed-form subspace dimension of a built-in kind at order n."""
     if kind not in _DIMENSION:
         raise ValueError(f"unknown structure kind {kind!r}")
-    return _DIMENSION[kind](n)
+    return _DIMENSION[kind][1](n)
 
 
 def build_basis(kind: str, n: int) -> StructureBasis:
@@ -239,7 +240,7 @@ def build_basis(kind: str, n: int) -> StructureBasis:
     least = _MIN_ORDER.get(kind, 1)
     if n < least:
         raise ValueError(f"structure kind {kind!r} needs n >= {least}, got n = {n}")
-    return StructureBasis(kind, n, _DIMENSION[kind](n), *map(_frozen, _BUILDERS[kind](n)))
+    return StructureBasis(kind, n, _DIMENSION[kind][1](n), *map(_frozen, _BUILDERS[kind](n)))
 
 
 def load_custom_basis(matrices: Sequence[np.ndarray]) -> StructureBasis:

@@ -314,13 +314,13 @@ def test_criterion_6_minimal_norm_families():
         base = np.linalg.norm(family.x0)
         for _ in range(100):
             w = rng.standard_normal(k * basis.r)
-            alt = np.linalg.norm(family.x0 + family.nullspace_projector @ w)
+            alt = np.linalg.norm(family.x0 + family.project(w))
             check(
                 problems,
                 base <= alt + 1e-12,
                 f"{kind} n={n} k={k}: minimal-norm violated, {base:.6e} > {alt:.6e}",
             )
-        proj = family.nullspace_projector
+        proj = family.project(np.eye(k * basis.r))
         check(
             problems,
             np.allclose(proj, proj.T, atol=1e-12) and np.allclose(proj @ proj, proj, atol=1e-12),

@@ -36,6 +36,7 @@ def test_solve_reference_problem_one_report():
     tol = report["tolerances"]
     assert tol["consistency_tol"] == 1e-8
     assert tol["rank_cutoff_factor"] == pytest.approx(np.finfo(float).eps * 12)
+    assert set(tol) == {"consistency_tol", "rank_cutoff_factor"}
 
 
 def test_solve_inconsistent_exit_code_and_loose_tolerance():
@@ -261,23 +262,40 @@ def test_generate_example3_default_m_is_four(tmp_path):
     assert obj["n"] == 50 and width == 4
 
 
-def test_basis_summary_and_pattern_dump():
-    res = run_cli("basis", "symmetric", "--n", "3")
-    assert res.code == 0
-    lines = res.out.splitlines()
-    assert lines[0] == "kind: symmetric"
-    assert lines[1] == "n: 3"
-    assert lines[2] == "r: 6"
-    assert lines[3] == "dimension formula: n(n+1)/2 = 6 (ok)"
+FORMULA_TEXT = {
+    "symmetric": "n(n+1)/2",
+    "skew_symmetric": "n(n-1)/2",
+    "tridiagonal": "3n-2",
+    "symmetric_tridiagonal": "2n-1",
+    "pentadiagonal": "5n-6",
+    "hankel": "2n-1",
+    "toeplitz": "2n-1",
+    "diagonal": "n",
+    "full": "n^2",
+}
 
-    dump = run_cli("basis", "symmetric", "--n", "3", "--print-p")
-    rows = dump.out.splitlines()
-    start = rows.index("pattern (row col value):") + 1
-    pattern = np.zeros((9, 6))
-    for line in rows[start:]:
-        i, j, v = line.split()
-        pattern[int(i), int(j)] = float(v)
-    np.testing.assert_array_equal(pattern, build_basis("symmetric", 3).pattern)
+
+def test_basis_summary_and_pattern_dump():
+    for kind in sorted(BUILTIN_KINDS):
+        for n in (3, 5):
+            basis = build_basis(kind, n)
+            res = run_cli("basis", kind, "--n", str(n))
+            assert res.code == 0
+            assert res.out.splitlines() == [
+                f"kind: {kind}",
+                f"n: {n}",
+                f"r: {basis.r}",
+                f"dimension formula: {FORMULA_TEXT[kind]} = {basis.r} (ok)",
+            ]
+
+            dump = run_cli("basis", kind, "--n", str(n), "--print-p")
+            rows = dump.out.splitlines()
+            start = rows.index("pattern (row col value):") + 1
+            pattern = np.zeros((n * n, basis.r))
+            for line in rows[start:]:
+                i, j, v = line.split()
+                pattern[int(i), int(j)] = float(v)
+            np.testing.assert_array_equal(pattern, basis.pattern)
 
 
 @pytest.mark.parametrize("kind", sorted(BUILTIN_KINDS))

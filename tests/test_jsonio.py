@@ -15,7 +15,6 @@ from eigenpoly.jsonio import (
     load_polynomial,
     obj_to_eigenpairs,
     polynomial_to_obj,
-    real_form_to_obj,
 )
 
 
@@ -50,14 +49,6 @@ def test_eigendata_file_round_trip(tmp_path):
     ref = fixtures.example1_real_form()
     np.testing.assert_array_equal(ep.X, ref.X)
     np.testing.assert_array_equal(ep.E, ref.E)
-
-
-def test_real_form_object_carries_both_matrices():
-    ref = fixtures.example2_real_form()
-    obj = real_form_to_obj(ref)
-    np.testing.assert_array_equal(np.asarray(obj["X"]), ref.X)
-    np.testing.assert_array_equal(np.asarray(obj["E"]), ref.E)
-    assert dumps(obj) == dumps(obj)
 
 
 def test_obj_to_eigenpairs_parses_complex_and_real():

@@ -1,5 +1,7 @@
 """Linear system assembly, classification, solving, monic reduction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -79,10 +81,13 @@ def test_free_parameter_member_matches_dense_projector():
         ep = encode(pairs[:1], n)
         _, family = solve(ep, basis, k)
         assert not family.unique
+        system = assemble(ep, basis, k)
+        Vr = np.linalg.svd(system.U)[2][: dense_oracle(system)[0]]
+        projector = np.eye(k * basis.r) - Vr.T @ Vr
         rng = np.random.default_rng(seed)
         for _ in range(3):
             y = rng.uniform(-4, 4, k * basis.r)
-            expected = family.x0 + family.nullspace_projector @ y
+            expected = family.x0 + projector @ y
             poly, _ = solve(ep, basis, k, y=y)
             got = np.concatenate([poly.coefficients[i].coords for i in range(k - 1, -1, -1)])
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13 * np.linalg.norm(expected))
@@ -219,18 +224,20 @@ def test_solve_reference_problem_one_minimal_norm():
     rng = np.random.default_rng(14)
     for _ in range(100):
         w = rng.standard_normal(family.x0.shape[0])
-        assert base <= np.linalg.norm(family.x0 + family.nullspace_projector @ w) + 1e-12
+        assert base <= np.linalg.norm(family.x0 + family.project(w)) + 1e-12
 
 
 def test_solve_reference_problem_one_family_members():
     ep = fixtures.example1_real_form()
     basis = build_basis("symmetric", 3)
     _, family = solve(ep, basis, 2)
+    system = assemble(ep, basis, 2)
+    Vr = np.linalg.svd(system.U)[2][: dense_oracle(system)[0]]
     rng = np.random.default_rng(15)
     for _ in range(5):
         y = rng.uniform(-4, 4, 12)
         member, fam_y = solve(ep, basis, 2, y=y)
-        expected_x = family.x0 + family.nullspace_projector @ y
+        expected_x = family.x0 + y - Vr.T @ (Vr @ y)
         got_x = np.concatenate([member.coefficients[1].coords, member.coefficients[0].coords])
         np.testing.assert_allclose(got_x, expected_x, atol=1e-12)
         # every member satisfies the relation as well as the particular solution
@@ -275,7 +282,7 @@ def test_unique_instance_recovers_generator():
     assert family.rank == 12 and family.projector_rank == 0
     scale = max(np.max(np.abs(c.dense)) for c in gen.coefficients)
     assert max_entry_gap(poly.dense_coefficients(), gen.dense_coefficients()) <= 1e-6 * scale
-    np.testing.assert_allclose(family.nullspace_projector, np.zeros((12, 12)), atol=1e-12)
+    np.testing.assert_allclose(family.project(np.eye(12)), np.zeros((12, 12)), atol=1e-12)
 
 
 def test_unique_solution_invariant_under_basis_presentation():
@@ -420,10 +427,14 @@ def assert_matches_dense_oracle(system, family, tol=ToleranceConfig()):
     assert np.linalg.norm(system.U @ (family.x0 - x0)) <= scale * np.linalg.norm(system.b)
     assert np.linalg.norm(family.x0 - x0) <= scale * (np.linalg.norm(x0) + kappa * gap / sigma[0])
     np.testing.assert_allclose(family.consistency_residual, gap, rtol=1e-6, atol=scale * np.linalg.norm(system.b))
-    Vr = family.row_space
-    assert Vr.shape == (rank, system.U.shape[1])
-    np.testing.assert_allclose(Vr @ Vr.T, np.eye(rank), atol=1e2 * EPS * system.U.shape[1])
-    np.testing.assert_allclose(system.U - system.U @ Vr.T @ Vr, 0.0, atol=scale * sigma[0])
+    # the columns of N are project(e_i): N must be the orthogonal projector
+    # onto the null space of U, of trace k r - rank
+    cols = system.U.shape[1]
+    N = np.column_stack([family.project(e) for e in np.eye(cols)])
+    np.testing.assert_allclose(N @ N, N, atol=1e2 * EPS * cols)
+    np.testing.assert_allclose(N, N.T, atol=1e2 * EPS * cols)
+    np.testing.assert_allclose(np.trace(N), cols - rank, atol=1e2 * EPS * cols)
+    np.testing.assert_allclose(system.U @ N, 0.0, atol=scale * sigma[0])
 
 
 @pytest.mark.parametrize("kind", sorted(BUILTIN_KINDS))
@@ -472,3 +483,21 @@ def test_block_analysis_counts_untouched_rows_in_the_gap():
     assert not family.consistent
     untouched = np.linalg.norm(system.b[1::3])
     assert family.consistency_residual >= untouched > 0.0
+
+
+def test_multi_block_solve_never_forms_the_dense_system():
+    # full at n = 32, m = 32: U would be 1024 x 2048 doubles (16 MiB), but
+    # it splits into 32 blocks of 32 x 64 (0.5 MiB together)
+    n, k, m = 32, 2, 32
+    ep = random_real_form(n, m, seed=61)
+    basis = build_basis("full", n)
+    y = np.random.default_rng(62).standard_normal(k * basis.r)
+    dense_bytes = (m * n) * (k * basis.r) * 8
+    tracemalloc.start()
+    try:
+        poly, family = solve(ep, basis, k, y=y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert poly is not None and family.rank == m * n
+    assert peak < dense_bytes / 4, f"peak {peak / 2**20:.2f} MiB"
