@@ -31,8 +31,8 @@ from .jsonio import (
     load_polynomial,
     polynomial_to_obj,
 )
-from .solver import ToleranceConfig, solve
-from .structures import _DIMENSION, BUILTIN_KINDS, build_basis
+from .solver import DEFAULT_CONSISTENCY_TOL, ToleranceConfig, solve
+from .structures import _KINDS, BUILTIN_KINDS, build_basis
 from .verify import (
     choose_eigenpairs,
     companion_eigs,
@@ -174,7 +174,7 @@ def cmd_basis(args) -> int:
         if args.n is None:
             raise ValueError("--n is required with a built-in structure tag")
         basis = build_basis(args.structure, args.n)
-        formula = _DIMENSION[args.structure][0]
+        formula = _KINDS[args.structure][1]
         # the triplets must use every one of the r coordinates the formula gives
         check = "ok" if np.unique(basis.index).size == basis.r else "MISMATCH"
         lines = [
@@ -207,7 +207,7 @@ def _build_parser() -> _Parser:
     p_solve.add_argument("structure", help="built-in structure tag or custom basis JSON file")
     p_solve.add_argument("degree", type=int, help="polynomial degree k")
     p_solve.add_argument("--y", help="JSON file with a free-parameter vector of length k*r")
-    p_solve.add_argument("--tol-consistency", type=float, default=1e-8)
+    p_solve.add_argument("--tol-consistency", type=float, default=DEFAULT_CONSISTENCY_TOL)
     p_solve.add_argument("--tol-rank-factor", type=float, default=None,
                          help="rank cutoff as a multiple of the largest singular value")
     p_solve.add_argument("--allow-overdetermined", action="store_true",
@@ -218,7 +218,7 @@ def _build_parser() -> _Parser:
     p_verify = sub.add_parser("verify", help="check eigenpairs against a polynomial")
     p_verify.add_argument("polynomial", help="polynomial JSON file")
     p_verify.add_argument("eigendata", help="eigendata JSON file")
-    p_verify.add_argument("--tol-consistency", type=float, default=1e-8)
+    p_verify.add_argument("--tol-consistency", type=float, default=DEFAULT_CONSISTENCY_TOL)
     p_verify.add_argument("--format", choices=("json", "table"), default="json")
     p_verify.add_argument("--output", help="write the report here instead of stdout")
     p_verify.set_defaults(func=cmd_verify)

@@ -17,14 +17,14 @@ vectors of the unknown coefficients:
 ``assemble`` forms neither the Kronecker products nor P nor U itself.
 Entry (p + n*c, blk*r + l) of U, where block blk holds A_i with
 i = k - 1 - blk, is nonzero only if S_l has an entry in row p of A, so the
-connected components (P_j, C_j) of the basis (``StructureBasis.blocks``)
-cut U, after a permutation, into diagonal blocks U_j with rows
-{p + n*c : p in P_j} and columns {blk*r + l : l in C_j}.  Each structure
-triplet (p, q, l, s) scatters s * (X E^i)[q, c] into its block.  The
-row-separable kinds (full, diagonal, tridiagonal, pentadiagonal) give n
-blocks, one per row of A; for ``full`` this is the matrix equation
-[A_{k-1} ... A_0] [X E^{k-1}; ...; X] = -X E^k solved row by row.  The
-other built-in kinds couple all rows and give one block, U itself.
+blocks (P_j, C_j) of the basis (``StructureBasis.blocks``) cut U, after a
+permutation, into diagonal blocks U_j with rows {p + n*c : p in P_j} and
+columns {blk*r + l : l in C_j}.  Each structure triplet (p, q, l, s)
+scatters s * (X E^i)[q, c] into its block.  When every S_l lies in one
+row of A, as for full, diagonal, tridiagonal and pentadiagonal, there is
+one block per row of A; for ``full`` this is the matrix equation
+[A_{k-1} ... A_0] [X E^{k-1}; ...; X] = -X E^k solved row by row.  Every
+other basis gives one block, U itself.
 
 ``analyze`` takes the SVD of each block.  The singular values of U are
 those of its blocks taken together, so one global cutoff on all of them
@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .eigendata import RealEigenpairs
-from .structures import StructureBasis, StructuredMatrix, realize
+from .structures import StructureBasis, realize
 
 __all__ = [
     "AssembledSystem",
@@ -91,7 +91,7 @@ class ToleranceConfig:
 class AssembledSystem:
     """The linear system U x = b for one inverse problem instance.
 
-    ``blocks`` lists one (rows, cols, U_j) triple per component of the
+    ``blocks`` lists one (rows, cols, U_j) triple per block of the
     basis, with U_j = U[np.ix_(rows, cols)]; U is zero outside its blocks.
     """
 
@@ -129,7 +129,6 @@ class SolutionFamily:
     consistent: bool
     unique: bool
     consistency_residual: float
-    tolerances: ToleranceConfig
 
     def project(self, y: np.ndarray) -> np.ndarray:
         """Project y onto the null space of U: y - V_r^T V_r y, block by block.
@@ -216,7 +215,7 @@ def assemble(
     Returns
     -------
     AssembledSystem
-        With one block of shape (m*|P_j|, k*|C_j|) per component (P_j, C_j)
+        With one block of shape (m*|P_j|, k*|C_j|) per block (P_j, C_j)
         of the basis, and b of length m*n.
     """
     if k < 1:
@@ -237,7 +236,7 @@ def assemble(
     size = m * height * k * width
     start = np.cumsum(size) - size
     # every block lies C-ordered in one buffer; triplet (p, q, l, s) of
-    # component j lands in row c*|P_j| + (place of p in P_j) and column
+    # block j lands in row c*|P_j| + (place of p in P_j) and column
     # blk*|C_j| + (place of l in C_j) of U_j
     j = part[basis.rows]
     stride = k * width[j]
@@ -297,7 +296,6 @@ def analyze(system: AssembledSystem, tol: ToleranceConfig = ToleranceConfig()) -
         consistent=consistent,
         unique=rank == cols,
         consistency_residual=gap,
-        tolerances=tol,
     )
 
 

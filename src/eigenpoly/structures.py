@@ -14,10 +14,13 @@ Built-in kinds have {-1, 0, 1} basis matrices with disjoint supports, so P
 has orthogonal columns.  Custom bases only need linear independence,
 which is checked on load.
 
-``StructureBasis.blocks`` splits the rows of A and the coordinates into the
-connected components of the graph linking row p to coordinate l whenever
-S_l has an entry in row p.  A coordinate acts on the rows of its own
-component only, which makes the solver's system block diagonal.
+``StructureBasis.blocks`` splits the rows of A and the coordinates by one
+rule read off the triplets.  When every S_l has its entries in a single row
+of A, as for full, diagonal, tridiagonal and pentadiagonal, each row with
+entries is a block holding the coordinates that live in it; otherwise one
+block holds every row with entries and all coordinates.  A coordinate acts
+on the rows of its own block only, which makes the solver's system block
+diagonal.
 """
 
 from __future__ import annotations
@@ -90,59 +93,35 @@ class StructureBasis:
 
     @cached_property
     def blocks(self) -> tuple:
-        """Connected components as (rows of A, coordinates) pairs.
+        """The split of U into blocks, as (rows of A, coordinates) pairs.
 
-        Row p and coordinate l are linked when some triplet has
-        rows == p and index == l.  Each component lists its rows and its
-        coordinates in increasing order, and the components are ordered by
-        their smallest row.  Rows that no coordinate touches belong to no
-        component.
+        When each S_l has all its entries in one row of A, every row with
+        entries is a block holding the coordinates of that row.  Otherwise
+        one block holds every row with entries and all r coordinates.  Both
+        arrays of a block ascend, and blocks are ordered by row.  Rows that
+        no S_l touches belong to no block.
         """
-        n = self.n
-        label = _components(self.rows, n + self.index, n + self.r)
-        order = np.argsort(label, kind="stable")  # node ids ascend within a component
-        out = []
-        for nodes in np.split(order, np.flatnonzero(np.diff(label[order])) + 1):
-            cut = np.searchsorted(nodes, n)  # rows of A first, then coordinates
-            if cut < nodes.size:
-                out.append((_frozen(nodes[:cut]), _frozen(nodes[cut:] - n)))
-        return tuple(out)
+        home = np.zeros(self.r, dtype=self.rows.dtype)
+        home[self.index] = self.rows  # the row of one triplet of each S_l
+        if not np.array_equal(home[self.index], self.rows):
+            touched = np.flatnonzero(np.bincount(self.rows, minlength=self.n))
+            return ((_frozen(touched), _frozen(np.arange(self.r))),)
+        order = np.argsort(home, kind="stable")  # coordinates ascend within a row
+        groups = np.split(order, np.flatnonzero(np.diff(home[order])) + 1)
+        return tuple((_frozen(home[C[:1]]), _frozen(C)) for C in groups)
 
 
 @dataclass(frozen=True, eq=False)
 class StructuredMatrix:
     """A matrix certified to lie in a structure subspace.
 
-    Carries the basis it was built against, the coordinate vector, and the
-    realized dense matrix, so vec(dense) = basis.pattern @ coords holds by
-    construction.
+    Carries the coordinate vector and the realized dense matrix, so
+    vec(dense) = P @ coords holds by construction for the pattern matrix P
+    of the basis it was realized from.
     """
 
-    basis: StructureBasis
     coords: np.ndarray = field(repr=False)
     dense: np.ndarray = field(repr=False)
-
-
-def _components(a, b, size):
-    """Component labels of the graph on range(size) with edges (a[t], b[t]).
-
-    Each node ends up labelled by the smallest node of its component: roots
-    hook onto the smallest root across an edge, then pointer jumping flattens
-    the trees, until no edge joins two labels.
-    """
-    label = np.arange(size)
-    while True:
-        la, lb = label[a], label[b]
-        if np.array_equal(la, lb):
-            return label
-        low = np.minimum(la, lb)
-        np.minimum.at(label, la, low)
-        np.minimum.at(label, lb, low)
-        while True:
-            up = label[label]
-            if np.array_equal(up, label):
-                break
-            label = up
 
 
 def _single(i, j, index=None):
@@ -175,46 +154,32 @@ def _constant_along(n, key):
     return _single(i, j, key(i, j))
 
 
-_BUILDERS = {
+# kind -> (builder, formula text as ``basis`` prints it, dimension at order n,
+# smallest n for which the dimension formula yields a nonempty basis)
+_KINDS = {
     # upper triangle, column-major: (0,0), (0,1), (1,1), (0,2), ...
-    "symmetric": lambda n: _paired(*np.tril_indices(n)[::-1], 1.0),
+    "symmetric": (lambda n: _paired(*np.tril_indices(n)[::-1], 1.0), "n(n+1)/2", lambda n: n * (n + 1) // 2, 1),
     # strict upper triangle, row-major: (0,1), (0,2), ..., (1,2), ...
-    "skew_symmetric": lambda n: _paired(*np.triu_indices(n, 1), -1.0),
-    "tridiagonal": lambda n: _single(*_band(n, (0, 1, -1))),
-    "symmetric_tridiagonal": lambda n: _paired(*_band(n, (0, 1)), 1.0),
-    "pentadiagonal": lambda n: _single(*_band(n, (0, 1, -1, 2, -2))),
+    "skew_symmetric": (lambda n: _paired(*np.triu_indices(n, 1), -1.0), "n(n-1)/2", lambda n: n * (n - 1) // 2, 2),
+    "tridiagonal": (lambda n: _single(*_band(n, (0, 1, -1))), "3n-2", lambda n: 3 * n - 2, 1),
+    "symmetric_tridiagonal": (lambda n: _paired(*_band(n, (0, 1)), 1.0), "2n-1", lambda n: 2 * n - 1, 1),
+    "pentadiagonal": (lambda n: _single(*_band(n, (0, 1, -1, 2, -2))), "5n-6", lambda n: 5 * n - 6, 3),
     # one matrix per anti-diagonal i + j = s, from the top-left corner down
-    "hankel": lambda n: _constant_along(n, lambda i, j: i + j),
+    "hankel": (lambda n: _constant_along(n, lambda i, j: i + j), "2n-1", lambda n: 2 * n - 1, 1),
     # one matrix per diagonal j - i = d, from the bottom-left corner up
-    "toeplitz": lambda n: _constant_along(n, lambda i, j: j - i + n - 1),
-    "diagonal": lambda n: _single(*_band(n, (0,))),
-    "full": lambda n: _single(*_grid(n)),
+    "toeplitz": (lambda n: _constant_along(n, lambda i, j: j - i + n - 1), "2n-1", lambda n: 2 * n - 1, 1),
+    "diagonal": (lambda n: _single(*_band(n, (0,))), "n", lambda n: n, 1),
+    "full": (lambda n: _single(*_grid(n)), "n^2", lambda n: n * n, 1),
 }
 
-# formula text, as ``basis`` prints it, and the subspace dimension at order n
-_DIMENSION = {
-    "symmetric": ("n(n+1)/2", lambda n: n * (n + 1) // 2),
-    "skew_symmetric": ("n(n-1)/2", lambda n: n * (n - 1) // 2),
-    "tridiagonal": ("3n-2", lambda n: 3 * n - 2),
-    "symmetric_tridiagonal": ("2n-1", lambda n: 2 * n - 1),
-    "pentadiagonal": ("5n-6", lambda n: 5 * n - 6),
-    "hankel": ("2n-1", lambda n: 2 * n - 1),
-    "toeplitz": ("2n-1", lambda n: 2 * n - 1),
-    "diagonal": ("n", lambda n: n),
-    "full": ("n^2", lambda n: n * n),
-}
-
-# smallest n for which the dimension formula yields a nonempty basis
-_MIN_ORDER = {"skew_symmetric": 2, "pentadiagonal": 3}
-
-BUILTIN_KINDS = tuple(_BUILDERS)
+BUILTIN_KINDS = tuple(_KINDS)
 
 
 def builtin_dimension(kind: str, n: int) -> int:
     """Closed-form subspace dimension of a built-in kind at order n."""
-    if kind not in _DIMENSION:
+    if kind not in _KINDS:
         raise ValueError(f"unknown structure kind {kind!r}")
-    return _DIMENSION[kind][1](n)
+    return _KINDS[kind][2](n)
 
 
 def build_basis(kind: str, n: int) -> StructureBasis:
@@ -234,13 +199,13 @@ def build_basis(kind: str, n: int) -> StructureBasis:
     """
     if kind == "custom":
         raise ValueError("custom bases are loaded from explicit matrices, use load_custom_basis")
-    if kind not in _BUILDERS:
-        known = ", ".join(sorted(_BUILDERS))
+    if kind not in _KINDS:
+        known = ", ".join(sorted(_KINDS))
         raise ValueError(f"unknown structure kind {kind!r}, expected one of: {known}")
-    least = _MIN_ORDER.get(kind, 1)
+    builder, _, dimension, least = _KINDS[kind]
     if n < least:
         raise ValueError(f"structure kind {kind!r} needs n >= {least}, got n = {n}")
-    return StructureBasis(kind, n, _DIMENSION[kind][1](n), *map(_frozen, _BUILDERS[kind](n)))
+    return StructureBasis(kind, n, dimension(n), *map(_frozen, builder(n)))
 
 
 def load_custom_basis(matrices: Sequence[np.ndarray]) -> StructureBasis:
@@ -290,7 +255,7 @@ def realize(basis: StructureBasis, coords: np.ndarray) -> StructuredMatrix:
         raise ValueError(f"expected {basis.r} coordinates, got shape {coords.shape}")
     dense = np.zeros((basis.n, basis.n), order="F")  # column-major, as vec() reads it
     np.add.at(dense, (basis.rows, basis.cols), basis.values * coords[basis.index])
-    return StructuredMatrix(basis=basis, coords=_frozen(coords), dense=_frozen(dense))
+    return StructuredMatrix(coords=_frozen(coords), dense=_frozen(dense))
 
 
 def coords_of(basis: StructureBasis, a: np.ndarray, tol: float = DEFAULT_MEMBERSHIP_TOL) -> np.ndarray:

@@ -72,6 +72,11 @@ def residual(poly, ep: RealEigenpairs) -> ResidualReport:
     Returns
     -------
     ResidualReport
+
+    Raises
+    ------
+    ValueError
+        When X E^k or the residual overflows to a non-finite value.
     """
     coeffs = _dense_coefficients(poly)
     k = len(coeffs)
@@ -80,18 +85,25 @@ def residual(poly, ep: RealEigenpairs) -> ResidualReport:
         raise ValueError(f"eigendata order n = {ep.n} does not match polynomial order n = {n}")
     power = np.eye(ep.m)
     R = np.zeros((n, ep.m))
-    for i in range(k):
-        R += coeffs[i] @ ep.X @ power
-        power = power @ ep.E
-    lead = ep.X @ power
-    R += lead
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(k):
+            R += coeffs[i] @ ep.X @ power
+            power = power @ ep.E
+        lead = ep.X @ power
+        R += lead
+        fro = float(np.linalg.norm(R, "fro"))
+        scale = float(np.linalg.norm(lead, "fro"))
+    # a finite ||R||_F bounds the norm of every column block below
+    if not (np.isfinite(fro) and np.isfinite(scale)):
+        raise ValueError(
+            f"the residual sum A_i X E^i overflows for degree k = {k}; largest |E| entry {np.max(np.abs(ep.E)):.3e}"
+        )
     blocks = []
     for j in range(ep.t):
         blocks.append(float(np.linalg.norm(R[:, 2 * j : 2 * j + 2], "fro")))
     for col in range(2 * ep.t, ep.m):
         blocks.append(float(np.linalg.norm(R[:, col])))
-    fro = float(np.linalg.norm(R, "fro"))
-    relative = fro / max(1.0, float(np.linalg.norm(lead, "fro")))
+    relative = fro / max(1.0, scale)
     return ResidualReport(fro=fro, relative=relative, per_pair=tuple(blocks))
 
 

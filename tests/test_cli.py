@@ -86,15 +86,21 @@ def test_solve_rejects_nan_entry_by_field_path(tmp_path):
     assert "SVD" not in res.err
 
 
-def test_solve_rejects_overflowing_eigenvalue(tmp_path):
+def overflowing_example1(tmp_path):
+    """Reference problem one with its real eigenvalue set to 1e300."""
     obj = json.loads((FIXTURES / "example1_eigendata.json").read_text())
     real = next(p for p in obj["eigenpairs"] if p["lambda"]["im"] == 0)
     real["lambda"]["re"] = 1e300
     path = tmp_path / "big.json"
     path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def test_solve_rejects_overflowing_eigenvalue(tmp_path):
+    path = overflowing_example1(tmp_path)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)  # no overflow warning on the way
-        res = run_cli("solve", str(path), "symmetric", "2")
+        res = run_cli("solve", path, "symmetric", "2")
     assert res.code == 1
     assert "overflows for degree k = 2" in res.err
     assert "non-finite number" not in res.err
@@ -184,6 +190,17 @@ def test_verify_input_errors(tmp_path):
     res = run_cli("verify", EX1_POLY, EX2_DATA)  # order mismatch 3 vs 4
     assert res.code == 1
     assert "does not match polynomial order" in res.err
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_verify_rejects_overflowing_eigenvalue(tmp_path, fmt):
+    path = overflowing_example1(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # no overflow warning on the way
+        res = run_cli("verify", EX1_POLY, path, "--format", fmt)
+    assert res.code == 1
+    assert "overflows for degree k = 2" in res.err
+    assert res.out == ""
 
 
 def test_generate_reference_problems_round_trip(tmp_path):

@@ -5,7 +5,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import gated_pairs, max_entry_gap, random_instance
+from conftest import (
+    assert_matches_dense_oracle,
+    dense_oracle,
+    gated_pairs,
+    max_entry_gap,
+    random_instance,
+    random_real_form,
+)
 from eigenpoly import fixtures
 from eigenpoly.eigendata import Eigenpair, RealEigenpairs, encode
 from eigenpoly.solver import (
@@ -32,15 +39,6 @@ def kronecker_system(ep, basis, k):
     eye = np.eye(ep.n)
     U = np.hstack([np.kron((ep.X @ powers[i]).T, eye) @ basis.pattern for i in range(k - 1, -1, -1)])
     return U, -(ep.X @ powers[k]).reshape(-1, order="F")
-
-
-def random_real_form(n, m, seed):
-    """Real-form eigendata with one complex block and m - 2 real columns."""
-    rng = np.random.default_rng(seed)
-    E = np.diag(rng.uniform(-2, 2, m))
-    E[1, 1] = E[0, 0]
-    E[0, 1], E[1, 0] = 0.7, -0.7
-    return RealEigenpairs.from_matrices(rng.standard_normal((n, m)), E)
 
 
 @pytest.mark.parametrize("kind", sorted(BUILTIN_KINDS))
@@ -379,16 +377,6 @@ def test_assemble_rejects_empty_eigendata():
 # --- block-by-block factorization against the dense SVD of the same U ---
 
 ONE_BLOCK = ("symmetric", "skew_symmetric", "hankel", "toeplitz", "symmetric_tridiagonal")
-EPS = np.finfo(float).eps
-
-
-def dense_oracle(system, tol=ToleranceConfig()):
-    """Rank, x0 and singular values from one SVD of the whole U."""
-    W, sigma, Vt = np.linalg.svd(system.U, full_matrices=False)
-    cutoff = tol.rank_cutoff(*system.U.shape) * sigma[0]
-    rank = int(np.count_nonzero(sigma > cutoff))
-    x0 = Vt[:rank].T @ ((W[:, :rank].T @ system.b) / sigma[:rank])
-    return rank, x0, sigma, cutoff
 
 
 def oracle_systems(kind, n=5):
@@ -410,31 +398,6 @@ def oracle_systems(kind, n=5):
         rng = np.random.default_rng(k)
         noisy = RealEigenpairs.from_matrices(ep.X + 1e-3 * rng.standard_normal(ep.X.shape), ep.E)
         yield assemble(noisy, basis, k)
-
-
-def assert_matches_dense_oracle(system, family, tol=ToleranceConfig()):
-    rank, x0, sigma, cutoff = dense_oracle(system, tol)
-    # the comparison only means something where the rank is clear
-    assert sigma[rank - 1] >= 1e3 * cutoff and (rank == sigma.size or sigma[rank] <= cutoff / 10)
-    assert family.rank == rank
-    assert family.projector_rank == system.U.shape[1] - rank
-    assert family.unique == (rank == system.U.shape[1])
-    gap = np.linalg.norm(system.U @ x0 - system.b)
-    assert family.consistent == (gap <= tol.consistency_tol * max(1.0, np.linalg.norm(system.b)))
-    # first-order perturbation bounds for the truncated least-squares solution
-    kappa = sigma[0] / sigma[rank - 1]
-    scale = 1e3 * EPS * kappa
-    assert np.linalg.norm(system.U @ (family.x0 - x0)) <= scale * np.linalg.norm(system.b)
-    assert np.linalg.norm(family.x0 - x0) <= scale * (np.linalg.norm(x0) + kappa * gap / sigma[0])
-    np.testing.assert_allclose(family.consistency_residual, gap, rtol=1e-6, atol=scale * np.linalg.norm(system.b))
-    # the columns of N are project(e_i): N must be the orthogonal projector
-    # onto the null space of U, of trace k r - rank
-    cols = system.U.shape[1]
-    N = np.column_stack([family.project(e) for e in np.eye(cols)])
-    np.testing.assert_allclose(N @ N, N, atol=1e2 * EPS * cols)
-    np.testing.assert_allclose(N, N.T, atol=1e2 * EPS * cols)
-    np.testing.assert_allclose(np.trace(N), cols - rank, atol=1e2 * EPS * cols)
-    np.testing.assert_allclose(system.U @ N, 0.0, atol=scale * sigma[0])
 
 
 @pytest.mark.parametrize("kind", sorted(BUILTIN_KINDS))

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MIN_ORDER
+from conftest import MIN_ORDER, assert_matches_dense_oracle, random_real_form
+from eigenpoly.solver import analyze, assemble
 from eigenpoly.structures import (
     BUILTIN_KINDS,
     StructureMembershipError,
@@ -155,9 +156,10 @@ def test_pattern_columns_are_orthogonal(kind):
 ROW_SEPARABLE = ("full", "diagonal", "tridiagonal", "pentadiagonal")
 
 
-@pytest.mark.parametrize("kind", sorted(BUILTIN_KINDS))
-@pytest.mark.parametrize("n", [3, 5, 6])
-def test_blocks_count_and_partition(kind, n):
+@pytest.mark.parametrize(
+    "n, kind", [(n, kind) for n in (1, 2, 3, 5, 6) for kind in sorted(BUILTIN_KINDS) if n >= MIN_ORDER.get(kind, 1)]
+)
+def test_blocks_count_and_partition(n, kind):
     basis = build_basis(kind, n)
     blocks = basis.blocks
     # row-separable kinds split by row of A, every other kind couples all rows
@@ -176,6 +178,13 @@ def test_blocks_count_and_partition(kind, n):
     assert basis.blocks is blocks  # built once per basis
 
 
+def assert_one_block_solve_matches_dense_svd(basis, seed):
+    for k, m in ((1, 2), (2, basis.n)):
+        system = assemble(random_real_form(basis.n, m, seed + k), basis, k)
+        assert len(system.blocks) == 1
+        assert_matches_dense_oracle(system, analyze(system))
+
+
 def test_blocks_of_custom_basis_with_two_row_groups():
     def at(*entries):
         m = np.zeros((4, 4))
@@ -183,10 +192,12 @@ def test_blocks_of_custom_basis_with_two_row_groups():
             m[i, j] = 1.0
         return m
 
-    # coordinates 0 and 2 couple rows 0 and 2, coordinates 1 and 3 rows 1 and 3
+    # coordinates 0 and 2 couple rows 0 and 2, coordinates 1 and 3 rows 1
+    # and 3: not every S_l lies in one row, so all of them form one block
     basis = load_custom_basis([at((0, 1), (2, 3)), at((1, 0)), at((2, 2)), at((3, 1), (1, 2))])
     got = [(P.tolist(), C.tolist()) for P, C in basis.blocks]
-    assert got == [([0, 2], [0, 2]), ([1, 3], [1, 3])]
+    assert got == [([0, 1, 2, 3], [0, 1, 2, 3])]
+    assert_one_block_solve_matches_dense_svd(basis, seed=180)
 
 
 def test_blocks_leave_out_untouched_rows():
@@ -199,7 +210,7 @@ def test_blocks_leave_out_untouched_rows():
 
 def test_blocks_follow_a_chain_in_any_order():
     # coordinate l links rows perm[l] and perm[l + 1]: one chain through all
-    # rows, visited in a random order; cutting one link splits it in two
+    # rows, visited in a random order; cut in two, it is still one block
     n = 12
     perm = np.random.default_rng(13).permutation(n)
 
@@ -211,8 +222,9 @@ def test_blocks_follow_a_chain_in_any_order():
     mats = [link(perm[l], perm[l + 1]) for l in range(n - 1)]
     assert [C.size for _, C in load_custom_basis(mats).blocks] == [n - 1]
     cut = load_custom_basis(mats[:4] + mats[5:])
-    got = sorted((sorted(P.tolist()), C.tolist()) for P, C in cut.blocks)
-    assert got == sorted([(sorted(perm[:5].tolist()), [0, 1, 2, 3]), (sorted(perm[5:].tolist()), list(range(4, n - 2)))])
+    got = [(P.tolist(), C.tolist()) for P, C in cut.blocks]
+    assert got == [(list(range(n)), list(range(n - 2)))]
+    assert_one_block_solve_matches_dense_svd(cut, seed=200)
 
 
 @pytest.mark.parametrize("kind", sorted(BUILTIN_KINDS))
