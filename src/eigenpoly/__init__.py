@@ -9,6 +9,7 @@ minimal-norm solution and the full solution family.
 """
 
 from .eigendata import Eigenpair, RealEigenpairs, decode, encode
+from .fixtures import generate_example3
 from .solver import (
     AssembledSystem,
     MonicPolynomial,
@@ -36,7 +37,6 @@ from .verify import (
     ResidualReport,
     choose_eigenpairs,
     companion_eigs,
-    generate_example3,
     random_polynomial,
     residual,
 )

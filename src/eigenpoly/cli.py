@@ -33,13 +33,7 @@ from .jsonio import (
 )
 from .solver import DEFAULT_CONSISTENCY_TOL, ToleranceConfig, solve
 from .structures import _KINDS, BUILTIN_KINDS, build_basis
-from .verify import (
-    choose_eigenpairs,
-    companion_eigs,
-    generate_example3,
-    random_polynomial,
-    residual,
-)
+from .verify import choose_eigenpairs, companion_eigs, random_polynomial, residual
 
 class _Parser(argparse.ArgumentParser):
     # the contract reserves exit code 2 for inconsistent systems, so usage
@@ -148,7 +142,7 @@ def cmd_generate(args) -> int:
     elif args.kind == "example3":
         n = 50
         pairs = fixtures.example3_eigenpairs(args.m if args.m is not None else 4)
-        ground_truth = generate_example3()
+        ground_truth = fixtures.generate_example3()
     else:
         for field in ("n", "k", "structure", "m"):
             if getattr(args, field) is None:

@@ -2,8 +2,11 @@
 
 Three mass-spring style problems used by the test-suite and the
 ``generate`` command: a 3-dof symmetric quadratic, a 4-dof skew-symmetric
-quadratic, and an order-50 symmetric tridiagonal quadratic whose band
-vectors live next to :func:`eigenpoly.verify.generate_example3`.
+quadratic, and an order-50 symmetric tridiagonal quadratic.  Their data
+lives in the JSON files of the ``data`` directory next to this module,
+which are the only copy; the functions here only read them.  The README
+section "Reference problems" describes each file and the two printing
+slips in the 4-dof problem's published figures.
 
 The printed reference values are four-decimal truncations, so comparisons
 against them belong at the 1e-3 level.
@@ -11,236 +14,52 @@ against them belong at the 1e-3 level.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 
-from .eigendata import Eigenpair, RealEigenpairs
-from .structures import StructureBasis, load_custom_basis
-from .verify import choose_eigenpairs, companion_eigs, generate_example3
+from .eigendata import Eigenpair
+from .jsonio import obj_to_eigenpairs
+from .solver import MonicPolynomial
+from .structures import build_basis, realize
+from .verify import choose_eigenpairs, companion_eigs
 
 __all__ = [
-    "EXAMPLE2_RESIDUAL_FRO_SQUARED",
-    "EXAMPLE2_RESIDUAL_FRO_SQUARED_STATED",
-    "EXAMPLE2_X_VECTOR",
-    "EXAMPLE3_EXPECTED_UNIQUE",
-    "EXAMPLE3_M4_EIGENVALUES",
-    "EXAMPLE3_OBSERVED_UNIQUE",
     "example1_eigenpairs",
-    "example1_expected",
-    "example1_real_form",
-    "example2_alternate_basis",
-    "example2_alternate_expected",
-    "example2_alternate_stated",
     "example2_eigenpairs",
-    "example2_expected",
-    "example2_real_form",
     "example3_eigenpairs",
+    "generate_example3",
 ]
 
-# 3-dof problem: one complex conjugate pair and one real eigenvalue
-
-_EX1_X = [
-    [-0.0406, -0.4699, 0.4231],
-    [-0.4504, -0.2542, 0.3510],
-    [0.7128, -0.0438, -0.8353],
-]
-
-_EX1_E = [
-    [-1.3064, 0.5436, 0.0],
-    [-0.5436, -1.3064, 0.0],
-    [0.0, 0.0, -0.2582],
-]
-
-_EX1_A0 = [
-    [4.2248, -0.0174, 2.4278],
-    [-0.0174, 1.8133, 0.2806],
-    [2.4278, 0.2806, 1.5618],
-]
-
-_EX1_A1 = [
-    [2.3283, 1.2405, 2.7130],
-    [1.2405, 0.1189, -1.2603],
-    [2.7130, -1.2603, 1.9321],
-]
+_DATA = Path(__file__).with_name("data")
 
 
-def example1_real_form() -> RealEigenpairs:
-    return RealEigenpairs.from_matrices(np.array(_EX1_X), np.array(_EX1_E))
+def _read(name: str):
+    with open(_DATA / name) as fh:
+        return json.load(fh)
 
 
 def example1_eigenpairs() -> list:
-    x = np.array(_EX1_X)
-    return [
-        Eigenpair(complex(-1.3064, 0.5436), x[:, 0] + 1j * x[:, 1]),
-        Eigenpair(complex(-0.2582, 0.0), x[:, 2].astype(complex)),
-    ]
-
-
-def example1_expected() -> tuple:
-    """The minimal-norm solution (A_0, A_1), four-decimal values."""
-    return np.array(_EX1_A0), np.array(_EX1_A1)
-
-
-# 4-dof problem: a single complex conjugate pair, skew-symmetric structure
-
-_EX2_X = [
-    [-0.2164, -0.6066],
-    [-0.5435, -0.0169],
-    [-0.3518, 0.2746],
-    [-0.1845, 0.2374],
-]
-
-_EX2_E = [
-    [0.5950, 9.5092],
-    [-9.5092, 0.5950],
-]
-
-EXAMPLE2_X_VECTOR = (
-    6.1761, 5.1682, 3.0933, 2.9398, 2.5033, 0.6224,
-    3.7036, 3.0992, 1.8550, 1.7629, 1.5011, 0.3732,
-)
-
-# Squared Frobenius residual of the four-decimal reference matrices against
-# their own eigendata.  The value circulated with the reference data is
-# 8.0185e-6; recomputing the same quantity from the printed matrices gives
-# 8.01851e-5 (identical mantissa, exponent off by one), and the least-squares
-# optimum over the whole skew-symmetric family is 7.964e-5, so the e-6 figure
-# is unattainable by any solution.  The corrected value is frozen here and
-# the stated one kept for the documenting test.
-EXAMPLE2_RESIDUAL_FRO_SQUARED = 8.0185e-05
-EXAMPLE2_RESIDUAL_FRO_SQUARED_STATED = 8.0185e-06
-
-_EX2_A0 = [
-    [0.0, 3.7036, 3.0992, 1.8550],
-    [-3.7036, 0.0, 1.7629, 1.5011],
-    [-3.0992, -1.7629, 0.0, 0.3732],
-    [-1.8550, -1.5011, -0.3732, 0.0],
-]
-
-_EX2_A1 = [
-    [0.0, 6.1761, 5.1682, 3.0933],
-    [-6.1761, 0.0, 2.9398, 2.5033],
-    [-5.1682, -2.9398, 0.0, 0.6224],
-    [-3.0933, -2.5033, -0.6224, 0.0],
-]
-
-# same subspace with the first basis matrix replaced by a non-orthogonal
-# combination: +1 on (1,2), -2 on (1,3), completed to skew symmetry
-
-_EX2_ALT_S1 = [
-    [0.0, 1.0, -2.0, 0.0],
-    [-1.0, 0.0, 0.0, 0.0],
-    [2.0, 0.0, 0.0, 0.0],
-    [0.0, 0.0, 0.0, 0.0],
-]
-
-# Reference values as printed.  The (2,3)/(3,2) entries of A0 are a slip:
-# 0.3732 equals the canonical-basis solution's corresponding entry, and the
-# matrix as printed is not a least-squares family member (its system residual
-# is 40x the attainable minimum).  Every other entry agrees with the computed
-# minimal-norm member to four decimals; the corrected entry is 1.0272.
-_EX2_ALT_A0_STATED = [
-    [0.0, -1.2396, 6.4982, 2.0008],
-    [1.2396, 0.0, 4.0440, 3.6581],
-    [-6.4982, -4.0440, 0.0, 0.3732],
-    [-2.0008, -3.6581, -0.3732, 0.0],
-]
-
-_EX2_ALT_A0 = [
-    [0.0, -1.2396, 6.4982, 2.0008],
-    [1.2396, 0.0, 4.0440, 3.6581],
-    [-6.4982, -4.0440, 0.0, 1.0272],
-    [-2.0008, -3.6581, -1.0272, 0.0],
-]
-
-_EX2_ALT_A1 = [
-    [0.0, 6.1815, 5.1892, 3.6862],
-    [-6.1815, 0.0, 2.7181, 1.7956],
-    [-5.1892, -2.7181, 0.0, 1.3404],
-    [-3.6862, -1.7956, -1.3404, 0.0],
-]
-
-
-def example2_real_form() -> RealEigenpairs:
-    return RealEigenpairs.from_matrices(np.array(_EX2_X), np.array(_EX2_E))
+    """One complex conjugate pair and one real eigenvalue of order 3."""
+    return obj_to_eigenpairs(_read("example1_eigendata.json"))[1]
 
 
 def example2_eigenpairs() -> list:
-    x = np.array(_EX2_X)
-    return [Eigenpair(complex(0.5950, 9.5092), x[:, 0] + 1j * x[:, 1])]
+    """A single complex conjugate pair of order 4."""
+    return obj_to_eigenpairs(_read("example2_eigendata.json"))[1]
 
 
-def example2_expected() -> tuple:
-    """The minimal-norm solution (A_0, A_1) in the canonical skew basis."""
-    return np.array(_EX2_A0), np.array(_EX2_A1)
-
-
-def _skew_single(i: int, j: int) -> np.ndarray:
-    m = np.zeros((4, 4))
-    m[i, j], m[j, i] = 1.0, -1.0
-    return m
-
-
-def example2_alternate_basis() -> StructureBasis:
-    mats = [np.array(_EX2_ALT_S1)] + [
-        _skew_single(i, j) for i, j in [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    ]
-    return load_custom_basis(mats)
-
-
-def example2_alternate_expected() -> tuple:
-    """Minimal-norm solution (A_0, A_1) in the alternate basis; the family is
-    non-unique, so a non-orthogonal change of basis moves the selected member."""
-    return np.array(_EX2_ALT_A0), np.array(_EX2_ALT_A1)
-
-
-def example2_alternate_stated() -> tuple:
-    """The alternate-basis pair as printed, including the slipped A0 entry."""
-    return np.array(_EX2_ALT_A0_STATED), np.array(_EX2_ALT_A1)
-
-
-# order-50 problem: eigendata is drawn from the generator polynomial
-
-EXAMPLE3_M4_EIGENVALUES = (
-    complex(-1.5564, 0.0232),
-    complex(-2.5036, 0.0),
-    complex(-2.1202, 0.0),
-)
-
-# Uniqueness as published for the four canonical eigendata sizes.  The m = 4
-# eigenvalue targets pick eigenvectors whose weight sits almost entirely on
-# the trailing 20 coordinates; the leading band parameters then drop out of
-# the linear system, so with this data m = 4 (and any six-column selection)
-# cannot determine all 198 parameters.  Measured behaviour is recorded in
-# EXAMPLE3_OBSERVED_UNIQUE; only the m = 10 selection below reaches full
-# column rank.
-EXAMPLE3_EXPECTED_UNIQUE = {2: False, 4: True, 6: True, 10: True}
-EXAMPLE3_OBSERVED_UNIQUE = {2: False, 4: False, 6: False, 10: True}
-
-# Frozen eigenvalue targets for the canonical sizes.  m = 2 and m = 4 are the
-# published selections; m = 6 is the highest-rank six-column selection found
-# by exchange search (rank 190 of 198); m = 10 is a ten-column selection whose
-# eigenvector supports jointly cover all 50 coordinates, giving full column
-# rank and unique recovery of the generator bands.
-_EX3_TARGETS = {
-    2: (complex(-1.5564, 0.0232),),
-    4: EXAMPLE3_M4_EIGENVALUES,
-    6: (
-        complex(-2.25705578347, 5.47041535993),
-        complex(0.604905217994, 0.0),
-        complex(-0.0232279930025, 0.0),
-        complex(-3.31367851062, 0.0),
-        complex(0.483785588457, 0.0),
-    ),
-    10: (
-        complex(3.61035429256, 0.0),
-        complex(-8.82045286306, 0.0),
-        complex(-0.128537444843, 5.2839393372),
-        complex(-6.08061776942, 6.11540603302),
-        complex(0.0898171674902, 1.2687666712),
-        complex(-0.798872276828, 0.0),
-        complex(-7.65041091684, 0.0),
-    ),
-}
+def generate_example3() -> MonicPolynomial:
+    """The order-50 quadratic reference problem with symmetric tridiagonal
+    coefficients, built from the band vectors in ``example3_bands.json``."""
+    bands = _read("example3_bands.json")
+    basis = build_basis("symmetric_tridiagonal", bands["n"])
+    coeffs = tuple(
+        realize(basis, np.concatenate([bands[f"degree{i}"]["diag"], bands[f"degree{i}"]["off"]]))
+        for i in range(bands["k"])
+    )
+    return MonicPolynomial(n=bands["n"], k=bands["k"], coefficients=coeffs)
 
 
 def _nearest(pairs, target: complex) -> Eigenpair:
@@ -250,17 +69,24 @@ def _nearest(pairs, target: complex) -> Eigenpair:
 def example3_eigenpairs(m: int = 4) -> list:
     """Select m columns of eigendata from the order-50 reference polynomial.
 
-    The canonical sizes m in {2, 4, 6, 10} use frozen eigenvalue targets
-    (a conjugate pair counts as two columns).  Any other m starts from the
-    m = 4 targets and extends with remaining eigenpairs by increasing
+    The canonical sizes m in {2, 4, 6, 10} use the frozen eigenvalue
+    targets of ``example3_bands.json`` (a conjugate pair counts as two
+    columns); m = 2 takes the first m = 4 target.  Any other m starts from
+    the m = 4 targets and extends with remaining eigenpairs by increasing
     magnitude.
     """
     if not 1 <= m <= 100:
         raise ValueError(f"m must lie in 1..100, got {m}")
+    bands = _read("example3_bands.json")
+    targets = {
+        size: [complex(t["re"], t["im"]) for t in bands[f"m{size}_eigenvalue_targets"]]
+        for size in (4, 6, 10)
+    }
+    targets[2] = targets[4][:1]
     pairs = companion_eigs(generate_example3())
-    if m in _EX3_TARGETS:
-        return [_nearest(pairs, t) for t in _EX3_TARGETS[m]]
-    core = [_nearest(pairs, t) for t in EXAMPLE3_M4_EIGENVALUES]
+    if m in targets:
+        return [_nearest(pairs, t) for t in targets[m]]
+    core = [_nearest(pairs, t) for t in targets[4]]
     chosen = choose_eigenpairs(core, m) if m <= 4 else list(core)
     if m > 4:
         rest = sorted(

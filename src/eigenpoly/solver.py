@@ -167,13 +167,17 @@ class MonicPolynomial:
 
 
 def _powers(ep: RealEigenpairs, k: int) -> list:
-    """The products X E^i for i = 0, ..., k; raises if any overflows."""
+    """The products X E^i for i = 0, ..., k; raises if any overflows.
+
+    A finite product whose Frobenius norm overflows counts as overflowing,
+    because ``analyze`` takes the norm of b = -vec(X E^k) by squaring."""
     pows = [np.eye(ep.m)]
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(k):
             pows.append(pows[-1] @ ep.E)
         out = [ep.X @ p for p in pows]
-    if not all(np.isfinite(y).all() for y in out):
+        norms = [np.linalg.norm(y) for y in out]
+    if not np.isfinite(norms).all():
         raise ValueError(f"X E^i overflows for degree k = {k}; largest |E| entry {np.max(np.abs(ep.E)):.3e}")
     return out
 

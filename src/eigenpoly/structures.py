@@ -175,11 +175,22 @@ _KINDS = {
 BUILTIN_KINDS = tuple(_KINDS)
 
 
+def _kind(kind: str, n: int) -> tuple:
+    """The builder and dimension formula of a built-in kind valid at order n."""
+    if kind == "custom":
+        raise ValueError("custom bases are loaded from explicit matrices, use load_custom_basis")
+    if kind not in _KINDS:
+        known = ", ".join(sorted(_KINDS))
+        raise ValueError(f"unknown structure kind {kind!r}, expected one of: {known}")
+    builder, _, dimension, least = _KINDS[kind]
+    if n < least:
+        raise ValueError(f"structure kind {kind!r} needs n >= {least}, got n = {n}")
+    return builder, dimension
+
+
 def builtin_dimension(kind: str, n: int) -> int:
     """Closed-form subspace dimension of a built-in kind at order n."""
-    if kind not in _KINDS:
-        raise ValueError(f"unknown structure kind {kind!r}")
-    return _KINDS[kind][2](n)
+    return _kind(kind, n)[1](n)
 
 
 def build_basis(kind: str, n: int) -> StructureBasis:
@@ -197,14 +208,7 @@ def build_basis(kind: str, n: int) -> StructureBasis:
     -------
     StructureBasis
     """
-    if kind == "custom":
-        raise ValueError("custom bases are loaded from explicit matrices, use load_custom_basis")
-    if kind not in _KINDS:
-        known = ", ".join(sorted(_KINDS))
-        raise ValueError(f"unknown structure kind {kind!r}, expected one of: {known}")
-    builder, _, dimension, least = _KINDS[kind]
-    if n < least:
-        raise ValueError(f"structure kind {kind!r} needs n >= {least}, got n = {n}")
+    builder, dimension = _kind(kind, n)
     return StructureBasis(kind, n, dimension(n), *map(_frozen, builder(n)))
 
 

@@ -15,13 +15,12 @@ import numpy as np
 
 from .eigendata import Eigenpair, RealEigenpairs
 from .solver import MonicPolynomial
-from .structures import build_basis, realize
+from .structures import realize
 
 __all__ = [
     "ResidualReport",
     "choose_eigenpairs",
     "companion_eigs",
-    "generate_example3",
     "random_polynomial",
     "residual",
 ]
@@ -201,41 +200,3 @@ def random_polynomial(basis, k: int, rng: np.random.Generator) -> MonicPolynomia
     """
     coeffs = tuple(realize(basis, rng.uniform(-1.0, 1.0, basis.r)) for _ in range(k))
     return MonicPolynomial(n=basis.n, k=k, coefficients=coeffs)
-
-
-# Band vectors of the order-50 symmetric tridiagonal reference problem:
-# main diagonal and symmetric off-diagonal of A_1, then the same for A_0.
-
-_A1_DIAG = [
-    10, 20, 6, 8, 40, 10, 50, 60, 3, 70, 30, 7, 9, 4, 80, 4.2, 6.5, 8.1, 1.2, 6.2,
-    2.7, 4.3, 3.2, 2.6, 14, 2.9, 13, 12.4, 4.6, 14.2, 8, 1.9, 2.4, 1.6, 25, 10.84,
-    22.3, 42.62, 54.24, 26.24, 1, 4, 0.5, 0.3, 7, 3, 8, 0.9, 5, 0.2,
-]
-
-_A1_OFF = [
-    2.8, 1.2, 36, 8, 4, 16, 2, 1.2, 28, 12, 32, 3.6, 20, 0.8, 1.8, 0.96, 3.92,
-    3.24, 1.04, 6, 0.9, 3, 0.4, 4, 0.2, 2, 0.5, 0.6, 0.8, 0.3, 2, 1, 6, 0.9, 3,
-    0.4, 4, 0.2, 2, 5, 2, 1, 0.7, 8, 0.2, 0.6, 7, 0.4, 7,
-]
-
-_A0_DIAG = [
-    5.6, 2.4, 16, 8, 48, 7.2, 24, 3.2, 32, 1.6, 16, 4, 4.8, 6.4, 72, 80, 168, 328,
-    432, 200, 17.6, 26.4, 23.2, 17.6, 96, 19.2, 84, 75.2, 35.6, 85.6, 52, 12.4,
-    15.6, 11.2, 168, 85.04, 175.8, 337.72, 433.44, 207.44, 0.4, 4, 0.2, 2, 0.5,
-    0.6, 0.8, 9, 10, 21,
-]
-
-_A0_OFF = [
-    3.2, 3.6, 16, 20, 8, 4, 2.8, 32, 0.8, 2.4, 28, 1.6, 28, 2, 76, 96, 112, 136,
-    204, 4, 0.2, 2, 0.5, 0.6, 0.7, 0.3, 2, 1, 6, 8, 16, 4.8, 6.4, 32, 8, 40, 48,
-    2.4, 56, 24, 5.6, 7.2, 3.2, 64, 3.36, 5.2, 6.48, 0.96, 4.96,
-]
-
-
-def generate_example3() -> MonicPolynomial:
-    """The order-50 quadratic reference problem with symmetric tridiagonal
-    coefficients, built from its hard-coded band vectors."""
-    basis = build_basis("symmetric_tridiagonal", 50)
-    a0 = realize(basis, np.concatenate([_A0_DIAG, _A0_OFF]))
-    a1 = realize(basis, np.concatenate([_A1_DIAG, _A1_OFF]))
-    return MonicPolynomial(n=50, k=2, coefficients=(a0, a1))

@@ -1,10 +1,12 @@
-"""Shared helpers: CLI driver, random instance factory, fixture paths,
-and the dense SVD oracle that the block solve is checked against."""
+"""Shared helpers: CLI driver, random instance factory, readers of the
+shipped reference files, and the dense SVD oracle that the block solve is
+checked against."""
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -12,12 +14,40 @@ import numpy as np
 
 from eigenpoly.cli import main as cli_main
 from eigenpoly.eigendata import RealEigenpairs
+from eigenpoly.jsonio import load_eigendata, load_polynomial
 from eigenpoly.solver import ToleranceConfig
 from eigenpoly.structures import BUILTIN_KINDS, build_basis
 from eigenpoly.verify import companion_eigs, random_polynomial
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 EPS = np.finfo(float).eps
+
+
+def reference_eigendata(example):
+    """Real-form eigendata of a shipped reference problem, e.g. "example1"."""
+    return load_eigendata(FIXTURES / f"{example}_eigendata.json")
+
+
+def reference_solution(example):
+    """The printed solution [A_0, A_1] of a shipped reference problem."""
+    return load_polynomial(FIXTURES / f"{example}_solution.json")[2]
+
+
+def reference_json(name):
+    """A shipped reference file as parsed JSON."""
+    with open(FIXTURES / name) as fh:
+        return json.load(fh)
+
+
+def example3_targets(m):
+    """The frozen eigenvalue targets of the order-50 problem for m columns."""
+    return [complex(t["re"], t["im"]) for t in reference_json("example3_bands.json")[f"m{m}_eigenvalue_targets"]]
+
+
+def example3_uniqueness(table):
+    """The "expected" or "observed" uniqueness table of the order-50 problem, by m."""
+    return {int(m): u for m, u in reference_json("example3_bands.json")[f"{table}_unique"].items()}
+
 
 # smallest order each built-in structure supports
 MIN_ORDER = {"skew_symmetric": 2, "pentadiagonal": 3}

@@ -9,18 +9,24 @@ import time
 
 import numpy as np
 
-from conftest import FIXTURES, builtin_cases, gated_pairs, max_entry_gap, random_instance
+from conftest import (
+    FIXTURES,
+    builtin_cases,
+    example3_targets,
+    example3_uniqueness,
+    gated_pairs,
+    max_entry_gap,
+    random_instance,
+    reference_eigendata,
+    reference_json,
+    reference_solution,
+)
 from eigenpoly import fixtures
 from eigenpoly.eigendata import Eigenpair, encode
+from eigenpoly.fixtures import generate_example3
 from eigenpoly.solver import ToleranceConfig, analyze, assemble, monicize, solve
 from eigenpoly.structures import build_basis, coords_of, load_custom_basis, realize
-from eigenpoly.verify import (
-    choose_eigenpairs,
-    companion_eigs,
-    generate_example3,
-    random_polynomial,
-    residual,
-)
+from eigenpoly.verify import choose_eigenpairs, companion_eigs, random_polynomial, residual
 
 
 def finish(number: int, problems: list, detail: str):
@@ -36,16 +42,16 @@ def check(problems: list, ok: bool, message: str):
 
 def test_criterion_1_order3_symmetric_quadratic():
     problems = []
-    ep = fixtures.example1_real_form()
+    ep = reference_eigendata("example1")
     basis = build_basis("symmetric", 3)
     t0 = time.perf_counter()
     poly, family = solve(ep, basis, 2)
     elapsed = time.perf_counter() - t0
 
     check(problems, family.consistent, "system reported inconsistent")
-    gap = max_entry_gap(poly.dense_coefficients(), fixtures.example1_expected())
+    gap = max_entry_gap(poly.dense_coefficients(), reference_solution("example1"))
     check(problems, gap <= 1e-3, f"solution is {gap:.3e} from the reference entries, above 1e-3")
-    printed = residual(list(fixtures.example1_expected()), ep).fro
+    printed = residual(reference_solution("example1"), ep).fro
     check(problems, printed <= 5e-3, f"reference-matrix residual {printed:.3e} above 5e-3")
     check(problems, elapsed < 0.1, f"solve took {elapsed:.4f}s, budget 0.1s")
     finish(1, problems, f"entry gap {gap:.2e}, reference residual {printed:.2e}, {elapsed*1e3:.1f} ms")
@@ -53,7 +59,8 @@ def test_criterion_1_order3_symmetric_quadratic():
 
 def test_criterion_2_order4_skew_symmetric_quadratic():
     problems = []
-    ep = fixtures.example2_real_form()
+    ep = reference_eigendata("example2")
+    reference = reference_json("example2_reference.json")
     basis = build_basis("skew_symmetric", 4)
     tol = ToleranceConfig(consistency_tol=1e-4)  # four-decimal eigendata
     t0 = time.perf_counter()
@@ -62,15 +69,15 @@ def test_criterion_2_order4_skew_symmetric_quadratic():
 
     check(problems, family.consistent, "system reported inconsistent at 1e-4")
     x = np.concatenate([poly.coefficients[1].coords, poly.coefficients[0].coords])
-    xgap = float(np.max(np.abs(x - np.asarray(fixtures.EXAMPLE2_X_VECTOR))))
+    xgap = float(np.max(np.abs(x - np.asarray(reference["x"]))))
     check(problems, xgap <= 1e-3, f"coordinate vector is {xgap:.3e} from reference, above 1e-3")
     for label, c in zip(("A0", "A1"), poly.dense_coefficients()):
         exact = bool(np.array_equal(c.T, -c))
         check(problems, exact, f"{label} is not skew-symmetric to machine precision")
 
     # squared Frobenius residual of the printed truncated matrices
-    printed_sq = residual(list(fixtures.example2_expected()), ep).fro ** 2
-    corrected = fixtures.EXAMPLE2_RESIDUAL_FRO_SQUARED
+    printed_sq = residual(reference_solution("example2"), ep).fro ** 2
+    corrected = reference["residual_fro_squared"]
     rel = abs(printed_sq - corrected) / corrected
     check(
         problems,
@@ -83,7 +90,7 @@ def test_criterion_2_order4_skew_symmetric_quadratic():
     # so no solution can attain it and the corrected constant is the only
     # faithful reading of the check
     optimum_sq = family.consistency_residual ** 2
-    stated = fixtures.EXAMPLE2_RESIDUAL_FRO_SQUARED_STATED
+    stated = reference["residual_fro_squared_stated"]
     check(
         problems,
         optimum_sq > stated,
@@ -102,6 +109,7 @@ def test_criterion_2_order4_skew_symmetric_quadratic():
 def test_criterion_3_order50_band_problem():
     problems = []
     gen = generate_example3()
+    expected_unique, observed_unique = example3_uniqueness("expected"), example3_uniqueness("observed")
     basis = build_basis("symmetric_tridiagonal", 50)
     rows = []
     measured = {}
@@ -128,7 +136,7 @@ def test_criterion_3_order50_band_problem():
         )
 
     # the m = 4 eigendata must match the four published eigenvalues
-    for target in fixtures.EXAMPLE3_M4_EIGENVALUES:
+    for target in example3_targets(4):
         best = min(abs(p.eigenvalue - target) for p in fixtures.example3_eigenpairs(4))
         check(problems, best <= 5e-4, f"m=4 eigendata misses published value {target} by {best:.2e}")
 
@@ -136,12 +144,12 @@ def test_criterion_3_order50_band_problem():
     # exponentially localized eigenvectors whose m = 4 and m = 6 selections
     # leave most basis directions unobserved, so the measured rank falls
     # short of full and uniqueness cannot hold for this data
-    for m, expected in sorted(fixtures.EXAMPLE3_EXPECTED_UNIQUE.items()):
+    for m, expected in sorted(expected_unique.items()):
         check(
             problems,
             measured[m] == expected,
             f"m={m}: expected unique={expected}, measured unique={measured[m]} "
-            f"(observed table: {fixtures.EXAMPLE3_OBSERVED_UNIQUE[m]})",
+            f"(observed table: {observed_unique[m]})",
         )
     check(
         problems,
@@ -161,7 +169,7 @@ def test_criterion_3_order50_band_problem():
     finish(
         3,
         problems,
-        f"unique flags measured {measured} vs expected {fixtures.EXAMPLE3_EXPECTED_UNIQUE}; "
+        f"unique flags measured {measured} vs expected {expected_unique}; "
         f"m=10 recovery {recovery[10]:.1e}",
     )
 

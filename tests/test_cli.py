@@ -86,11 +86,11 @@ def test_solve_rejects_nan_entry_by_field_path(tmp_path):
     assert "SVD" not in res.err
 
 
-def overflowing_example1(tmp_path):
-    """Reference problem one with its real eigenvalue set to 1e300."""
+def overflowing_example1(tmp_path, value=1e300):
+    """Reference problem one with its real eigenvalue set to ``value``."""
     obj = json.loads((FIXTURES / "example1_eigendata.json").read_text())
     real = next(p for p in obj["eigenpairs"] if p["lambda"]["im"] == 0)
-    real["lambda"]["re"] = 1e300
+    real["lambda"]["re"] = value
     path = tmp_path / "big.json"
     path.write_text(json.dumps(obj))
     return str(path)
@@ -104,6 +104,17 @@ def test_solve_rejects_overflowing_eigenvalue(tmp_path):
     assert res.code == 1
     assert "overflows for degree k = 2" in res.err
     assert "non-finite number" not in res.err
+
+
+def test_solve_rejects_eigendata_whose_norm_overflows(tmp_path):
+    # X E^2 stays finite near 1e200, but its Frobenius norm does not
+    path = overflowing_example1(tmp_path, 1e100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = run_cli("solve", path, "symmetric", "2")
+    assert res.code == 1
+    assert "overflows for degree k = 2" in res.err
+    assert res.out == ""
 
 
 def test_solve_with_custom_basis_file():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import reference_eigendata, reference_json
 from eigenpoly import fixtures
 from eigenpoly.eigendata import Eigenpair, RealEigenpairs, decode, encode
 from eigenpoly.structures import build_basis, realize
@@ -11,7 +12,12 @@ from eigenpoly.verify import random_polynomial
 
 def test_encode_reference_problem_one_reproduces_real_form():
     ep = encode(fixtures.example1_eigenpairs(), 3)
-    ref = fixtures.example1_real_form()
+    pair, real = reference_json("example1_eigendata.json")["eigenpairs"]
+    a, b, c = pair["lambda"]["re"], pair["lambda"]["im"], real["lambda"]["re"]
+    ref = RealEigenpairs.from_matrices(
+        np.column_stack([pair["vector"]["re"], pair["vector"]["im"], real["vector"]["re"]]),
+        np.array([[a, b, 0.0], [-b, a, 0.0], [0.0, 0.0, c]]),
+    )
     np.testing.assert_array_equal(ep.X, ref.X)
     np.testing.assert_array_equal(ep.E, ref.E)
     assert (ep.n, ep.m, ep.t) == (3, 3, 1)
@@ -129,7 +135,7 @@ def test_from_matrices_validates_block_structure():
 
 
 def test_arrays_are_frozen():
-    ep = fixtures.example1_real_form()
+    ep = reference_eigendata("example1")
     with pytest.raises(ValueError):
         ep.X[0, 0] = 99.0
     with pytest.raises(ValueError):

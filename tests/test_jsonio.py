@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import reference_eigendata, reference_solution
 from eigenpoly import fixtures
 from eigenpoly.eigendata import Eigenpair
 from eigenpoly.jsonio import (
@@ -46,7 +47,7 @@ def test_eigendata_file_round_trip(tmp_path):
     path = tmp_path / "eigendata.json"
     path.write_text(dumps(eigendata_to_obj(3, fixtures.example1_eigenpairs())))
     ep = load_eigendata(path)
-    ref = fixtures.example1_real_form()
+    ref = reference_eigendata("example1")
     np.testing.assert_array_equal(ep.X, ref.X)
     np.testing.assert_array_equal(ep.E, ref.E)
 
@@ -114,7 +115,7 @@ def test_eigendata_errors_name_the_field(tmp_path):
 
 
 def test_polynomial_file_round_trip(tmp_path):
-    a0, a1 = fixtures.example1_expected()
+    a0, a1 = reference_solution("example1")
     path = tmp_path / "poly.json"
     path.write_text(dumps(polynomial_to_obj(3, 2, [a0, a1])))
     n, k, coeffs = load_polynomial(path)

@@ -323,6 +323,12 @@ def test_build_basis_rejects_orders_below_minimum():
         build_basis("pentadiagonal", 2)
 
 
+@pytest.mark.parametrize("kind,n,least", [("pentadiagonal", 1, 3), ("pentadiagonal", 2, 3), ("skew_symmetric", 1, 2)])
+def test_builtin_dimension_rejects_orders_below_minimum(kind, n, least):
+    with pytest.raises(ValueError, match=f"needs n >= {least}"):
+        builtin_dimension(kind, n)
+
+
 def test_build_basis_rejects_custom_tag():
     with pytest.raises(ValueError, match="load_custom_basis"):
         build_basis("custom", 3)

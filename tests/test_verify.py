@@ -5,23 +5,24 @@ import json
 import numpy as np
 import pytest
 
-from conftest import pair_residual, random_instance, run_cli
-from eigenpoly import fixtures
+from conftest import (
+    example3_targets,
+    pair_residual,
+    random_instance,
+    reference_eigendata,
+    reference_solution,
+    run_cli,
+)
 from eigenpoly.eigendata import Eigenpair, encode
+from eigenpoly.fixtures import generate_example3
 from eigenpoly.jsonio import load_polynomial, obj_to_eigenpairs
 from eigenpoly.solver import ToleranceConfig, solve
 from eigenpoly.structures import build_basis
-from eigenpoly.verify import (
-    choose_eigenpairs,
-    companion_eigs,
-    generate_example3,
-    random_polynomial,
-    residual,
-)
+from eigenpoly.verify import choose_eigenpairs, companion_eigs, random_polynomial, residual
 
 
 def test_residual_of_zero_coefficients_is_leading_term():
-    ep = fixtures.example1_real_form()
+    ep = reference_eigendata("example1")
     zero = [np.zeros((3, 3)), np.zeros((3, 3))]
     report = residual(zero, ep)
     lead = np.linalg.norm(ep.X @ ep.E @ ep.E, "fro")
@@ -32,8 +33,8 @@ def test_residual_of_zero_coefficients_is_leading_term():
 
 
 def test_residual_of_printed_reference_solution():
-    ep = fixtures.example1_real_form()
-    report = residual(list(fixtures.example1_expected()), ep)
+    ep = reference_eigendata("example1")
+    report = residual(reference_solution("example1"), ep)
     np.testing.assert_allclose(report.fro, 7.768893800306532e-05, rtol=1e-6)
     assert report.relative < 1e-4
     assert all(v <= report.fro + 1e-15 for v in report.per_pair)
@@ -41,7 +42,7 @@ def test_residual_of_printed_reference_solution():
 
 
 def test_residual_validates_input():
-    ep = fixtures.example1_real_form()
+    ep = reference_eigendata("example1")
     with pytest.raises(ValueError, match="does not match polynomial order"):
         residual([np.zeros((2, 2))], ep)
     with pytest.raises(ValueError, match="at least one trailing coefficient"):
@@ -184,7 +185,7 @@ def test_regenerated_band_problem_spot_values():
 def test_regenerated_band_problem_matches_printed_eigenvalues():
     gen = generate_example3()
     pairs = companion_eigs(gen)
-    for target in fixtures.EXAMPLE3_M4_EIGENVALUES:
+    for target in example3_targets(4):
         best = min(abs(p.eigenvalue - target) for p in pairs)
         assert best <= 5e-4, f"no companion eigenvalue near {target}, best gap {best}"
 
@@ -198,7 +199,7 @@ def test_round_trip_solve_from_companion_data():
 
 
 def test_round_trip_reference_problem_two_with_loose_tolerance():
-    ep = fixtures.example2_real_form()
+    ep = reference_eigendata("example2")
     poly, family = solve(
         ep, build_basis("skew_symmetric", 4), 2, tol=ToleranceConfig(consistency_tol=1e-4)
     )
