@@ -15,6 +15,7 @@ against them belong at the 1e-3 level.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -50,16 +51,29 @@ def example2_eigenpairs() -> list:
     return obj_to_eigenpairs(_read("example2_eigendata.json"))[1]
 
 
-def generate_example3() -> MonicPolynomial:
-    """The order-50 quadratic reference problem with symmetric tridiagonal
-    coefficients, built from the band vectors in ``example3_bands.json``."""
+@lru_cache(maxsize=None)
+def _example3() -> tuple:
+    """The order-50 polynomial, its eigenpairs and the (m, eigenvalue
+    targets) pairs, built once.  All of it is immutable: a frozen
+    polynomial with read-only coefficients, and tuples of frozen pairs."""
     bands = _read("example3_bands.json")
     basis = build_basis("symmetric_tridiagonal", bands["n"])
     coeffs = tuple(
         realize(basis, np.concatenate([bands[f"degree{i}"]["diag"], bands[f"degree{i}"]["off"]]))
         for i in range(bands["k"])
     )
-    return MonicPolynomial(n=bands["n"], k=bands["k"], coefficients=coeffs)
+    poly = MonicPolynomial(n=bands["n"], k=bands["k"], coefficients=coeffs)
+    targets = tuple(
+        (size, tuple(complex(t["re"], t["im"]) for t in bands[f"m{size}_eigenvalue_targets"]))
+        for size in (4, 6, 10)
+    )
+    return poly, tuple(companion_eigs(poly)), targets
+
+
+def generate_example3() -> MonicPolynomial:
+    """The order-50 quadratic reference problem with symmetric tridiagonal
+    coefficients, built from the band vectors in ``example3_bands.json``."""
+    return _example3()[0]
 
 
 def _nearest(pairs, target: complex) -> Eigenpair:
@@ -77,13 +91,9 @@ def example3_eigenpairs(m: int = 4) -> list:
     """
     if not 1 <= m <= 100:
         raise ValueError(f"m must lie in 1..100, got {m}")
-    bands = _read("example3_bands.json")
-    targets = {
-        size: [complex(t["re"], t["im"]) for t in bands[f"m{size}_eigenvalue_targets"]]
-        for size in (4, 6, 10)
-    }
+    _, pairs, targets = _example3()
+    targets = dict(targets)
     targets[2] = targets[4][:1]
-    pairs = companion_eigs(generate_example3())
     if m in targets:
         return [_nearest(pairs, t) for t in targets[m]]
     core = [_nearest(pairs, t) for t in targets[4]]

@@ -20,19 +20,24 @@ i = k - 1 - blk, is nonzero only if S_l has an entry in row p of A, so the
 blocks (P_j, C_j) of the basis (``StructureBasis.blocks``) cut U, after a
 permutation, into diagonal blocks U_j with rows {p + n*c : p in P_j} and
 columns {blk*r + l : l in C_j}.  Each structure triplet (p, q, l, s)
-scatters s * (X E^i)[q, c] into its block.  When every S_l lies in one
-row of A, as for full, diagonal, tridiagonal and pentadiagonal, there is
-one block per row of A; for ``full`` this is the matrix equation
-[A_{k-1} ... A_0] [X E^{k-1}; ...; X] = -X E^k solved row by row.  Every
-other basis gives one block, U itself.
+scatters s * (X E^i)[q, c] into its block.  A block that the basis lists
+with several copies is the same matrix U_j at each copy's rows and
+columns, so only the triplets of its first copy are scattered.  When every
+S_l lies in one row of A, as for full, diagonal, tridiagonal and
+pentadiagonal, there is one block per row of A; every other basis gives
+one block, U itself.  For ``full`` the n row blocks are all copies of
+Z^T with Z = [X E^{k-1}; ...; X], and U x = b is the matrix equation
+[A_{k-1} ... A_0] Z = -X E^k.
 
-``analyze`` takes the SVD of each block.  The singular values of U are
-those of its blocks taken together, so one global cutoff on all of them
-gives the rank of U.  A solution exists iff U U^+ b = b, and it is unique
-iff U has full column rank.  The general solution is
-x = U^+ b + (I - V_r^T V_r) y with y free, where the rows of V_r span the
-row space of U; ``SolutionFamily.project`` applies the projector block by
-block.
+``analyze`` takes one SVD per distinct block and solves all its copies at
+once, with the copies' parts of b as the columns of one right-hand side.
+The singular values of U are those of its blocks taken together, each
+block counted once per copy, so one global cutoff on all of them gives the
+rank of U.  A solution exists iff U U^+ b = b, and it is unique iff U has
+full column rank.  The general solution is x = U^+ b + (I - V_r^T V_r) y
+with y free, where the rows of V_r span the row space of U;
+``SolutionFamily.project`` applies the projector block by block, all
+copies of a block at once.
 """
 
 from __future__ import annotations
@@ -91,8 +96,10 @@ class ToleranceConfig:
 class AssembledSystem:
     """The linear system U x = b for one inverse problem instance.
 
-    ``blocks`` lists one (rows, cols, U_j) triple per block of the
-    basis, with U_j = U[np.ix_(rows, cols)]; U is zero outside its blocks.
+    ``blocks`` lists one (rows, cols, U_j) triple per distinct block of the
+    basis.  ``rows`` has shape (copies, m*|P_j|) and ``cols`` shape
+    (copies, k*|C_j|), and U_j = U[np.ix_(rows[i], cols[i])] for every
+    copy i; U is zero outside its blocks.
     """
 
     blocks: tuple = field(repr=False)
@@ -107,7 +114,8 @@ class AssembledSystem:
         """The dense (m*n)-by-(k*r) matrix, built from the blocks on each read."""
         U = np.zeros((self.m * self.n, self.k * self.r))
         for rows, cols, Uj in self.blocks:
-            U[np.ix_(rows, cols)] = Uj
+            for R, C in zip(rows, cols):
+                U[np.ix_(R, C)] = Uj
         return U
 
 
@@ -117,9 +125,10 @@ class SolutionFamily:
 
     The full solution set, when nonempty, is x0 + project(y) over free
     vectors y of length k*r.  ``factors`` holds one (cols, V_j) pair per
-    block of U, where the orthonormal rows of V_j span the row space of
-    that block on the coordinates ``cols``.  ``unique`` records whether U
-    has full column rank, i.e. whether that family has dimension zero.
+    distinct block of U, where ``cols`` has shape (copies, k*|C_j|) and the
+    orthonormal rows of V_j span the row space of that block on the
+    coordinates of each copy.  ``unique`` records whether U has full column
+    rank, i.e. whether that family has dimension zero.
     """
 
     x0: np.ndarray = field(repr=False)
@@ -134,11 +143,13 @@ class SolutionFamily:
         """Project y onto the null space of U: y - V_r^T V_r y, block by block.
 
         ``y`` has length k*r; a (k*r, p) array is projected column by column.
+        The copies of a block are gathered as the columns of one matrix.
         """
         out = np.array(y, dtype=float)
         for cols, V in self.factors:
-            yj = out[cols]
-            out[cols] = yj - V.T @ (V @ yj)
+            yj = out[cols.T]  # (k |C_j|, copies, p...)
+            flat = yj.reshape(yj.shape[0], -1)
+            out[cols.T] = (flat - V.T @ (V @ flat)).reshape(yj.shape)
         return out
 
 
@@ -184,10 +195,11 @@ def _powers(ep: RealEigenpairs, k: int) -> list:
 
 def _places(parts, size: int):
     """For disjoint index arrays ``parts`` over range(size): the part each
-    index lies in, its position within that part, and the part sizes."""
+    index lies in (-1 for none), its position within that part, and the
+    part sizes."""
     sizes = np.array([p.size for p in parts])
     nodes = np.concatenate(parts)
-    part = np.zeros(size, dtype=np.intp)
+    part = np.full(size, -1, dtype=np.intp)
     place = np.zeros(size, dtype=np.intp)
     part[nodes] = np.repeat(np.arange(len(parts)), sizes)
     place[nodes] = np.arange(nodes.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
@@ -219,8 +231,8 @@ def assemble(
     Returns
     -------
     AssembledSystem
-        With one block of shape (m*|P_j|, k*|C_j|) per block (P_j, C_j)
-        of the basis, and b of length m*n.
+        With one block of shape (m*|P_j|, k*|C_j|) per distinct block
+        (P_j, C_j) of the basis, and b of length m*n.
     """
     if k < 1:
         raise ValueError(f"polynomial degree must be at least 1, got k = {k}")
@@ -235,27 +247,32 @@ def assemble(
         )
     n, r, m = ep.n, basis.r, ep.m
     Y = _powers(ep, k)
-    part, row_at, height = _places([P for P, _ in basis.blocks], n)
-    _, col_at, width = _places([C for _, C in basis.blocks], r)
+    # only the triplets in the rows of each block's first copy are scattered
+    part, row_at, height = _places([P[0] for P, _ in basis.blocks], n)
+    _, col_at, width = _places([C[0] for _, C in basis.blocks], r)
+    j = part[basis.rows]
+    kept = j >= 0
+    j, rows, cols, index, values = (a[kept] for a in (j, basis.rows, basis.cols, basis.index, basis.values))
     size = m * height * k * width
     start = np.cumsum(size) - size
     # every block lies C-ordered in one buffer; triplet (p, q, l, s) of
     # block j lands in row c*|P_j| + (place of p in P_j) and column
     # blk*|C_j| + (place of l in C_j) of U_j
-    j = part[basis.rows]
     stride = k * width[j]
-    first = start[j] + row_at[basis.rows] * stride + col_at[basis.index]
+    first = start[j] + row_at[rows] * stride + col_at[index]
     at = (first + np.multiply.outer(np.arange(k), width[j]))[:, :, None]
     at = at + np.multiply.outer(height[j] * stride, np.arange(m))
     # (block, triplet, eigendata column) -> s * (X E^i)[q, c], i = k - 1 - block
-    vals = basis.values[None, :, None] * np.stack(Y[k - 1 :: -1])[:, basis.cols, :]
+    vals = values[None, :, None] * np.stack(Y[k - 1 :: -1])[:, cols, :]
     buf = np.zeros(size.sum())
     np.add.at(buf, at, vals)
+    # rows p + n*c and columns blk*r + l of every copy, one copy per row
+    row_of, col_of = n * np.arange(m)[:, None], r * np.arange(k)[:, None]
     blocks = tuple(
         (
-            (n * np.arange(m)[:, None] + P).ravel(),
-            (r * np.arange(k)[:, None] + C).ravel(),
-            buf[lo : lo + sz].reshape(m * P.size, k * C.size),
+            (row_of + P[:, None]).reshape(len(P), -1),
+            (col_of + C[:, None]).reshape(len(C), -1),
+            buf[lo : lo + sz].reshape(m * P.shape[1], k * C.shape[1]),
         )
         for (P, C), lo, sz in zip(basis.blocks, start, size)
     )
@@ -267,10 +284,12 @@ def analyze(system: AssembledSystem, tol: ToleranceConfig = ToleranceConfig()) -
     """Factorize U block by block, classify the system and compute the
     minimal-norm particular solution.
 
-    The singular values of U are those of its blocks taken together.  Each
-    block gets its own SVD.  Singular values at or below
-    cutoff * max_j sigma_max(U_j) count as zero, the rank is the sum of the
-    block ranks, and x0 joins the blocks' minimal-norm solutions.  The
+    The singular values of U are those of its blocks taken together, each
+    block counted once per copy.  Each distinct block gets one SVD, and its
+    copies are solved at once: the parts of b at their rows are the columns
+    of one right-hand side.  Singular values at or below
+    cutoff * max_j sigma_max(U_j) count as zero, the rank is the sum of
+    copies_j * rank(U_j), and x0 joins the blocks' minimal-norm solutions.  The
     system is consistent iff U x0 reproduces b within ``tol.consistency_tol``
     relative to max(1, ||b||); the gap starts from -b, so rows of U that no
     block holds still count.  The solution is unique iff rank(U) equals the
@@ -285,11 +304,11 @@ def analyze(system: AssembledSystem, tol: ToleranceConfig = ToleranceConfig()) -
     factors = []
     for (R, C, Uj), (W, sigma, Vt) in zip(system.blocks, svds):
         rj = int(np.count_nonzero(sigma > cutoff))
-        xj = Vt[:rj].T @ ((W[:, :rj].T @ b[R]) / sigma[:rj])
-        x0[C] = xj
-        misfit[R] += Uj @ xj
+        xj = Vt[:rj].T @ ((W[:, :rj].T @ b[R.T]) / sigma[:rj, None])  # one column per copy
+        x0[C.T] = xj
+        misfit[R.T] += Uj @ xj
         factors.append((C, Vt[:rj]))
-    rank = sum(V.shape[0] for _, V in factors)
+    rank = sum(len(C) * V.shape[0] for C, V in factors)
     gap = float(np.linalg.norm(misfit))
     consistent = gap <= tol.consistency_tol * max(1.0, float(np.linalg.norm(b)))
     return SolutionFamily(

@@ -20,7 +20,10 @@ of A, as for full, diagonal, tridiagonal and pentadiagonal, each row with
 entries is a block holding the coordinates that live in it; otherwise one
 block holds every row with entries and all coordinates.  A coordinate acts
 on the rows of its own block only, which makes the solver's system block
-diagonal.
+diagonal.  Equal blocks are listed once, with their copies: when every row
+block has the same size and the same (place of l in the block, column,
+value) triplets, as for full at n >= 2, the rows form one block with one
+copy per row, so the solver builds and factorizes it once.
 """
 
 from __future__ import annotations
@@ -93,22 +96,49 @@ class StructureBasis:
 
     @cached_property
     def blocks(self) -> tuple:
-        """The split of U into blocks, as (rows of A, coordinates) pairs.
+        """The split of U into distinct blocks, as (rows of A, coordinates)
+        pairs of shapes (copies, |P|) and (copies, |C|), one row per copy.
 
         When each S_l has all its entries in one row of A, every row with
-        entries is a block holding the coordinates of that row.  Otherwise
-        one block holds every row with entries and all r coordinates.  Both
-        arrays of a block ascend, and blocks are ordered by row.  Rows that
-        no S_l touches belong to no block.
+        entries is a block holding the coordinates of that row.  If those
+        row blocks all have the same size and the same triplets (place of
+        l in the block, column, value), they are copies of one block.
+        Otherwise every row block has one copy, and when some S_l spans two
+        rows, one block holds every row with entries and all r coordinates.
+        Rows and coordinates ascend within a copy, and copies and blocks are
+        ordered by row.  Rows that no S_l touches belong to no block.
         """
         home = np.zeros(self.r, dtype=self.rows.dtype)
         home[self.index] = self.rows  # the row of one triplet of each S_l
         if not np.array_equal(home[self.index], self.rows):
             touched = np.flatnonzero(np.bincount(self.rows, minlength=self.n))
-            return ((_frozen(touched), _frozen(np.arange(self.r))),)
+            return ((_frozen(touched[None]), _frozen(np.arange(self.r)[None])),)
         order = np.argsort(home, kind="stable")  # coordinates ascend within a row
-        groups = np.split(order, np.flatnonzero(np.diff(home[order])) + 1)
-        return tuple((_frozen(home[C[:1]]), _frozen(C)) for C in groups)
+        cuts = np.flatnonzero(np.diff(home[order])) + 1
+        if self._copies_of_one(order, cuts):
+            C = order.reshape(cuts.size + 1, -1)
+            return ((_frozen(home[C[:, :1]]), _frozen(C)),)
+        return tuple((_frozen(home[C[None, :1]]), _frozen(C[None])) for C in np.split(order, cuts))
+
+    def _copies_of_one(self, order: np.ndarray, cuts: np.ndarray) -> bool:
+        """Whether the row blocks that ``order`` lists, cut at ``cuts``, all
+        have the same size and the same (place, column, value) triplets.
+
+        Within a row block no (place, column) pair repeats, so the blocks
+        are equal iff each holds as many triplets as the first and every
+        triplet finds its value at its (place, column) in the first."""
+        width, rest = divmod(order.size, cuts.size + 1)
+        if rest or not np.array_equal(cuts, np.arange(width, order.size, width)):
+            return False
+        at = np.empty(self.r, dtype=np.intp)
+        at[order] = np.arange(self.r)
+        copy, place = np.divmod(at[self.index], width)
+        if np.any(np.bincount(copy) != np.count_nonzero(copy == 0)):
+            return False
+        key = place * self.n + self.cols
+        first = np.zeros(width * self.n)
+        first[key[copy == 0]] = self.values[copy == 0]
+        return bool(np.array_equal(first[key], self.values))
 
 
 @dataclass(frozen=True, eq=False)

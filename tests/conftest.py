@@ -16,7 +16,7 @@ from eigenpoly.cli import main as cli_main
 from eigenpoly.eigendata import RealEigenpairs
 from eigenpoly.jsonio import load_eigendata, load_polynomial
 from eigenpoly.solver import ToleranceConfig
-from eigenpoly.structures import BUILTIN_KINDS, build_basis
+from eigenpoly.structures import _KINDS, BUILTIN_KINDS, build_basis, load_custom_basis
 from eigenpoly.verify import companion_eigs, random_polynomial
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -49,15 +49,15 @@ def example3_uniqueness(table):
     return {int(m): u for m, u in reference_json("example3_bands.json")[f"{table}_unique"].items()}
 
 
-# smallest order each built-in structure supports
-MIN_ORDER = {"skew_symmetric": 2, "pentadiagonal": 3}
+# smallest order each built-in structure supports, as the kind table holds it
+MIN_ORDER = {kind: spec[3] for kind, spec in _KINDS.items()}
 
 
 def builtin_cases(n_values=range(2, 7), k_values=range(1, 5)):
     """Every (kind, n, k) combination valid for the built-in structures."""
     for kind in BUILTIN_KINDS:
         for n in n_values:
-            if n < MIN_ORDER.get(kind, 1):
+            if n < MIN_ORDER[kind]:
                 continue
             for k in k_values:
                 yield kind, n, k
@@ -120,6 +120,15 @@ def random_real_form(n, m, seed):
     E[1, 1] = E[0, 0]
     E[0, 1], E[1, 0] = 0.7, -0.7
     return RealEigenpairs.from_matrices(rng.standard_normal((n, m)), E)
+
+
+def row_basis(rows):
+    """Basis matrices e_p v^T of a row-separable custom basis: rows[p] lists
+    the vectors v of row p, and the a-th vectors of all rows come a-th."""
+    n = len(rows)
+    return load_custom_basis(
+        [np.outer(np.eye(n)[p], vs[a]) for a in range(len(rows[0])) for p, vs in enumerate(rows) if a < len(vs)]
+    )
 
 
 def dense_oracle(system, tol=ToleranceConfig()):

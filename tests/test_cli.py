@@ -1,11 +1,16 @@
 """End-to-end CLI behavior: exit codes, reports, determinism, pipelines."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eigenpoly
 from conftest import FIXTURES, MIN_ORDER, run_cli
 from eigenpoly.jsonio import dumps, polynomial_to_obj
 from eigenpoly.structures import BUILTIN_KINDS, build_basis
@@ -329,7 +334,7 @@ def test_basis_summary_and_pattern_dump():
 @pytest.mark.parametrize("kind", sorted(BUILTIN_KINDS))
 def test_basis_pattern_dump_lists_the_pattern_row_by_row(kind):
     for n in (3, 5):
-        if n < MIN_ORDER.get(kind, 1):
+        if n < MIN_ORDER[kind]:
             continue
         pattern = build_basis(kind, n).pattern
         expected = [f"{i} {j} {pattern[i, j]:.17g}" for i, j in zip(*np.nonzero(pattern))]
@@ -353,3 +358,24 @@ def test_basis_custom_file_and_errors():
 
 def test_cli_rejects_unknown_generate_kind():
     assert run_cli("generate", "example9").code == 1
+
+
+def test_solve_leaves_numpy_ma_unimported(tmp_path):
+    # np.unique imports numpy.ma on first use, which once added about 1 MiB
+    # to a solve's traced peak; the solve path must not reach it
+    data = tmp_path / "full.json"
+    made = run_cli("generate", "random", "--n", "4", "--k", "2", "--structure", "full", "--m", "6",
+                   "--seed", "3", "--output", str(data))
+    assert made.code == 0
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "from eigenpoly.cli import main",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        f"    codes = [main(['solve', {str(data)!r}, 'full', '2']),",
+        f"             main(['solve', {str(FIXTURES / 'example1_eigendata.json')!r}, 'symmetric', '2'])]",
+        "assert codes == [0, 0], codes",
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(Path(eigenpoly.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

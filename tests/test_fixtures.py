@@ -155,3 +155,28 @@ def test_reference_eigenpairs_satisfy_regenerated_polynomial():
         for p in fixtures.example3_eigenpairs(m):
             gap = np.linalg.norm(gen.evaluate(p.eigenvalue) @ p.vector)
             assert gap <= 1e-8 * (1 + abs(p.eigenvalue)) ** 2
+
+
+def test_example3_is_built_once_and_cannot_be_changed(monkeypatch):
+    original, calls = fixtures.companion_eigs, []
+
+    def counted(poly):
+        calls.append(poly)
+        return original(poly)
+
+    monkeypatch.setattr(fixtures, "companion_eigs", counted)
+    fixtures._example3.cache_clear()
+    try:
+        first = fixtures.example3_eigenpairs(4)
+        for m in (2, 5, 6, 10):
+            fixtures.example3_eigenpairs(m)
+        poly = generate_example3()
+        assert len(calls) == 1 and calls[0] is poly
+        # callers get fresh lists of frozen pairs and read-only coefficients
+        size = len(first)
+        first.clear()
+        assert len(fixtures.example3_eigenpairs(4)) == size
+        assert all(not p.vector.flags.writeable for p in fixtures.example3_eigenpairs(10))
+        assert all(not c.dense.flags.writeable and not c.coords.flags.writeable for c in poly.coefficients)
+    finally:
+        fixtures._example3.cache_clear()

@@ -15,6 +15,7 @@ from conftest import (
     reference_eigendata,
     reference_json,
     reference_solution,
+    row_basis,
 )
 from eigenpoly.eigendata import Eigenpair, RealEigenpairs, encode
 from eigenpoly.solver import (
@@ -452,7 +453,7 @@ def test_block_analysis_counts_untouched_rows_in_the_gap():
 
 def test_multi_block_solve_never_forms_the_dense_system():
     # full at n = 32, m = 32: U would be 1024 x 2048 doubles (16 MiB), but
-    # it splits into 32 blocks of 32 x 64 (0.5 MiB together)
+    # it splits into 32 copies of one 32 x 64 block (16 KiB)
     n, k, m = 32, 2, 32
     ep = random_real_form(n, m, seed=61)
     basis = build_basis("full", n)
@@ -466,3 +467,71 @@ def test_multi_block_solve_never_forms_the_dense_system():
         tracemalloc.stop()
     assert poly is not None and family.rank == m * n
     assert peak < dense_bytes / 4, f"peak {peak / 2**20:.2f} MiB"
+
+
+# --- blocks with copies: full as one matrix equation ---
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_full_is_one_block_with_a_copy_per_row(k):
+    n = 6
+    basis = build_basis("full", n)
+    for m in (2, n, k * n):
+        system = assemble(random_real_form(n, m, seed=70 + 10 * k + m), basis, k)
+        [(rows, cols, Uj)] = system.blocks
+        assert rows.shape == (n, m) and cols.shape == (n, k * n) and Uj.shape == (m, k * n)
+        family = analyze(system)
+        assert_matches_dense_oracle(system, family)
+        assert family.rank == n * np.linalg.matrix_rank(Uj)
+        # each row of [A_{k-1} ... A_0] is the minimal-norm solution of the
+        # same m x kn system, with that row of -X E^k as right-hand side
+        expected = np.linalg.lstsq(Uj, system.b[rows].T, rcond=None)[0].T
+        np.testing.assert_allclose(family.x0[cols], expected, rtol=0, atol=1e-12 * np.linalg.norm(expected))
+
+
+def shared_custom_basis():
+    """A row-separable custom basis whose four rows carry the same two
+    vectors: one block with four copies."""
+    return row_basis([[np.array([1.0, 2.0, 0.0, -1.0]), np.array([0.0, 1.0, 3.0, 0.0])]] * 4)
+
+
+def test_shared_custom_basis_assembles_the_kronecker_system():
+    basis = shared_custom_basis()
+    assert [len(P) for P, _ in basis.blocks] == [4]
+    for k in (1, 2, 3):
+        ep = random_real_form(4, 5, seed=80 + k)
+        system = assemble(ep, basis, k, allow_overdetermined=True)
+        U, b = kronecker_system(ep, basis, k)
+        assert np.max(np.abs(system.U - U)) <= 1e-14 * np.max(np.abs(U))
+        assert np.array_equal(system.b, b)
+
+
+@pytest.mark.parametrize("basis", [build_basis("full", 5), shared_custom_basis()], ids=["full", "custom"])
+def test_project_matches_the_dense_projector_of_shared_blocks(basis):
+    n, k = basis.n, 2
+    system = assemble(random_real_form(n, 3, seed=90), basis, k)
+    family = analyze(system)
+    assert len(system.blocks[0][0]) == n
+    Vr = np.linalg.svd(system.U)[2][: dense_oracle(system)[0]]
+    projector = np.eye(k * basis.r) - Vr.T @ Vr
+    rng = np.random.default_rng(91)
+    y = rng.uniform(-4, 4, k * basis.r)
+    np.testing.assert_allclose(family.project(y), projector @ y, rtol=0, atol=1e-13 * np.linalg.norm(y))
+    Y = rng.uniform(-4, 4, (k * basis.r, 3))
+    np.testing.assert_allclose(family.project(Y), projector @ Y, rtol=0, atol=1e-13 * np.linalg.norm(Y))
+
+
+def test_full_solve_at_order_150_stays_small():
+    # U would be 15000 x 45000 doubles (5 GiB); its 150 equal row blocks
+    # are built and factorized once, as one 100 x 300 matrix
+    n, k, m = 150, 2, 100
+    ep = random_real_form(n, m, seed=95)
+    basis = build_basis("full", n)
+    tracemalloc.start()
+    try:
+        poly, family = solve(ep, basis, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert poly is not None and family.rank == m * n
+    assert peak < 10 * 2**20, f"peak {peak / 2**20:.2f} MiB"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MIN_ORDER, assert_matches_dense_oracle, random_real_form
+from conftest import MIN_ORDER, assert_matches_dense_oracle, random_real_form, row_basis
 from eigenpoly.solver import analyze, assemble
 from eigenpoly.structures import (
     BUILTIN_KINDS,
@@ -108,7 +108,7 @@ def test_row_major_custom_ordering_changes_coordinates():
 @pytest.mark.parametrize("kind", sorted(BUILTIN_KINDS))
 def test_dimension_table(kind):
     formula = DIMENSION_FORMULAS[kind]
-    for n in range(MIN_ORDER.get(kind, 1), 13):
+    for n in range(MIN_ORDER[kind], 13):
         r = builtin_dimension(kind, n)
         assert r == formula(n)
         basis = build_basis(kind, n)
@@ -118,7 +118,7 @@ def test_dimension_table(kind):
 
 @pytest.mark.parametrize("kind", sorted(BUILTIN_KINDS))
 def test_triplet_pattern_matches_dense_basis(kind):
-    for n in range(MIN_ORDER.get(kind, 1), 7):
+    for n in range(MIN_ORDER[kind], 7):
         basis = build_basis(kind, n)
         expected = np.column_stack([vec(m) for m in dense_basis(kind, n)])
         np.testing.assert_array_equal(basis.pattern, expected)
@@ -146,7 +146,7 @@ def test_load_custom_basis_rejects_non_finite():
 
 @pytest.mark.parametrize("kind", sorted(BUILTIN_KINDS))
 def test_pattern_columns_are_orthogonal(kind):
-    basis = build_basis(kind, max(MIN_ORDER.get(kind, 1), 4))
+    basis = build_basis(kind, max(MIN_ORDER[kind], 4))
     gram = basis.pattern.T @ basis.pattern
     off = gram - np.diag(np.diag(gram))
     assert np.all(np.diag(gram) > 0)
@@ -157,24 +157,28 @@ ROW_SEPARABLE = ("full", "diagonal", "tridiagonal", "pentadiagonal")
 
 
 @pytest.mark.parametrize(
-    "n, kind", [(n, kind) for n in (1, 2, 3, 5, 6) for kind in sorted(BUILTIN_KINDS) if n >= MIN_ORDER.get(kind, 1)]
+    "n, kind", [(n, kind) for n in (1, 2, 3, 5, 6) for kind in sorted(BUILTIN_KINDS) if n >= MIN_ORDER[kind]]
 )
 def test_blocks_count_and_partition(n, kind):
     basis = build_basis(kind, n)
     blocks = basis.blocks
-    # row-separable kinds split by row of A, every other kind couples all rows
-    assert len(blocks) == (n if kind in ROW_SEPARABLE else 1)
-    rows = np.concatenate([P for P, _ in blocks])
-    coords = np.concatenate([C for _, C in blocks])
+    # row-separable kinds split by row of A, every other kind couples all
+    # rows; the n rows of full are copies of one block
+    copies = [len(P) for P, _ in blocks]
+    assert copies == ([n] if kind == "full" else [1] * (n if kind in ROW_SEPARABLE else 1))
+    rows = np.concatenate([P.ravel() for P, _ in blocks])
+    coords = np.concatenate([C.ravel() for _, C in blocks])
     np.testing.assert_array_equal(np.sort(rows), np.arange(n))
     np.testing.assert_array_equal(np.sort(coords), np.arange(basis.r))
-    # every triplet links a row and a coordinate of the same block
+    # every triplet links a row and a coordinate of the same copy
     owner = np.empty(n, int)
     for j, (P, C) in enumerate(blocks):
-        owner[P] = j
-        assert np.all(np.diff(P) > 0) and np.all(np.diff(C) > 0)
+        assert P.ndim == C.ndim == 2 and len(C) == len(P)
         assert not P.flags.writeable and not C.flags.writeable
-        np.testing.assert_array_equal(owner[basis.rows[np.isin(basis.index, C)]], j)
+        for i, (Pi, Ci) in enumerate(zip(P, C)):
+            owner[Pi] = j * n + i
+            assert np.all(np.diff(Pi) > 0) and np.all(np.diff(Ci) > 0)
+            np.testing.assert_array_equal(owner[basis.rows[np.isin(basis.index, Ci)]], j * n + i)
     assert basis.blocks is blocks  # built once per basis
 
 
@@ -195,7 +199,7 @@ def test_blocks_of_custom_basis_with_two_row_groups():
     # coordinates 0 and 2 couple rows 0 and 2, coordinates 1 and 3 rows 1
     # and 3: not every S_l lies in one row, so all of them form one block
     basis = load_custom_basis([at((0, 1), (2, 3)), at((1, 0)), at((2, 2)), at((3, 1), (1, 2))])
-    got = [(P.tolist(), C.tolist()) for P, C in basis.blocks]
+    got = [(P.ravel().tolist(), C.ravel().tolist()) for P, C in basis.blocks]
     assert got == [([0, 1, 2, 3], [0, 1, 2, 3])]
     assert_one_block_solve_matches_dense_svd(basis, seed=180)
 
@@ -204,7 +208,7 @@ def test_blocks_leave_out_untouched_rows():
     # row 1 of A is zero in every basis matrix
     mats = [np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 0.0, 1.0]), np.array([[0, 0, 1.0], [0, 0, 0], [0, 0, 0]])]
     basis = load_custom_basis(mats)
-    got = [(P.tolist(), C.tolist()) for P, C in basis.blocks]
+    got = [(P.ravel().tolist(), C.ravel().tolist()) for P, C in basis.blocks]
     assert got == [([0], [0, 2]), ([2], [1])]
 
 
@@ -222,14 +226,48 @@ def test_blocks_follow_a_chain_in_any_order():
     mats = [link(perm[l], perm[l + 1]) for l in range(n - 1)]
     assert [C.size for _, C in load_custom_basis(mats).blocks] == [n - 1]
     cut = load_custom_basis(mats[:4] + mats[5:])
-    got = [(P.tolist(), C.tolist()) for P, C in cut.blocks]
+    got = [(P.ravel().tolist(), C.ravel().tolist()) for P, C in cut.blocks]
     assert got == [(list(range(n)), list(range(n - 2)))]
     assert_one_block_solve_matches_dense_svd(cut, seed=200)
 
 
+def assert_row_basis_solve_matches_dense_svd(basis, seed):
+    for k in (1, 2, 3):
+        for m in (2, basis.n, 2 * basis.n):
+            system = assemble(random_real_form(basis.n, m, seed + 10 * k + m), basis, k, allow_overdetermined=True)
+            assert_matches_dense_oracle(system, analyze(system))
+
+
+def test_custom_basis_with_equal_rows_shares_one_block():
+    # every row of A carries the same two vectors, in the same order
+    v = [np.array([1.0, 2.0, 0.0, -1.0]), np.array([0.0, 1.0, 3.0, 0.0])]
+    basis = row_basis([v] * 4)
+    [(P, C)] = basis.blocks
+    np.testing.assert_array_equal(P, [[0], [1], [2], [3]])
+    np.testing.assert_array_equal(C, [[0, 4], [1, 5], [2, 6], [3, 7]])
+    assert_row_basis_solve_matches_dense_svd(basis, seed=300)
+
+
+@pytest.mark.parametrize(
+    "last",
+    [
+        [np.array([1.0, 2.0, 0.0, -1.0]), np.array([0.0, 1.0, 3.0, 0.5])],  # another value
+        [np.array([1.0, 2.0, 0.0, -1.0]), np.array([0.0, 1.0, 0.0, 3.0])],  # another column
+        [np.array([0.0, 1.0, 3.0, 0.0]), np.array([1.0, 2.0, 0.0, -1.0])],  # another place
+        [np.array([1.0, 2.0, 0.0, -1.0])],  # another size
+    ],
+)
+def test_custom_basis_with_unequal_rows_keeps_one_copy_per_row(last):
+    v = [np.array([1.0, 2.0, 0.0, -1.0]), np.array([0.0, 1.0, 3.0, 0.0])]
+    basis = row_basis([v, v, v, last])
+    assert [P.ravel().tolist() for P, _ in basis.blocks] == [[0], [1], [2], [3]]
+    assert [C.shape for _, C in basis.blocks] == [(1, 2)] * 3 + [(1, len(last))]
+    assert_row_basis_solve_matches_dense_svd(basis, seed=400)
+
+
 @pytest.mark.parametrize("kind", sorted(BUILTIN_KINDS))
 def test_builtin_coords_match_least_squares(kind):
-    basis = build_basis(kind, max(MIN_ORDER.get(kind, 1), 5))
+    basis = build_basis(kind, max(MIN_ORDER[kind], 5))
     a = realize(basis, np.random.default_rng(12).uniform(-3, 3, basis.r)).dense
     expected = np.linalg.lstsq(basis.pattern, vec(a), rcond=None)[0]
     np.testing.assert_allclose(coords_of(basis, a), expected, rtol=0, atol=1e-14 * np.abs(expected).max())
@@ -237,7 +275,7 @@ def test_builtin_coords_match_least_squares(kind):
 
 @pytest.mark.parametrize("kind", sorted(BUILTIN_KINDS))
 def test_realize_coords_round_trip(kind):
-    n = max(MIN_ORDER.get(kind, 1), 5)
+    n = max(MIN_ORDER[kind], 5)
     basis = build_basis(kind, n)
     rng = np.random.default_rng(11)
     coords = rng.uniform(-3, 3, basis.r)
