@@ -37,7 +37,8 @@ rank of U.  A solution exists iff U U^+ b = b, and it is unique iff U has
 full column rank.  The general solution is x = U^+ b + (I - V_r^T V_r) y
 with y free, where the rows of V_r span the row space of U;
 ``SolutionFamily.project`` applies the projector block by block, all
-copies of a block at once.
+copies of a block at once.  A tall chain block is first tried by the
+certified QR sweep of ``sweep``, which needs no SVD.
 """
 
 from __future__ import annotations
@@ -63,6 +64,9 @@ __all__ = [
 
 DEFAULT_CONSISTENCY_TOL = 1e-8
 DEFAULT_PD_TOL = 1e-12
+# the QR sweep is tried on a tall one-block system of at least this many
+# columns; the crossover against the SVD is measured in the README
+SWEEP_MIN_COLS = 96
 
 
 @dataclass(frozen=True)
@@ -99,7 +103,8 @@ class AssembledSystem:
     ``blocks`` lists one (rows, cols, U_j) triple per distinct block of the
     basis.  ``rows`` has shape (copies, m*|P_j|) and ``cols`` shape
     (copies, k*|C_j|), and U_j = U[np.ix_(rows[i], cols[i])] for every
-    copy i; U is zero outside its blocks.
+    copy i; U is zero outside its blocks.  ``plan`` is the QR sweep that
+    ``analyze`` tries before the SVD (see ``assemble``), or None.
     """
 
     blocks: tuple = field(repr=False)
@@ -108,6 +113,7 @@ class AssembledSystem:
     r: int = 0
     m: int = 0
     n: int = 0
+    plan: tuple | None = field(default=None, repr=False)
 
     @property
     def U(self) -> np.ndarray:
@@ -127,8 +133,10 @@ class SolutionFamily:
     vectors y of length k*r.  ``factors`` holds one (cols, V_j) pair per
     distinct block of U, where ``cols`` has shape (copies, k*|C_j|) and the
     orthonormal rows of V_j span the row space of that block on the
-    coordinates of each copy.  ``unique`` records whether U has full column
-    rank, i.e. whether that family has dimension zero.
+    coordinates of each copy; V_j is None for a block certified to have
+    full column rank, whose row space is everything.  ``unique`` records
+    whether U has full column rank, i.e. whether that family has dimension
+    zero.
     """
 
     x0: np.ndarray = field(repr=False)
@@ -147,6 +155,9 @@ class SolutionFamily:
         """
         out = np.array(y, dtype=float)
         for cols, V in self.factors:
+            if V is None:  # a block of full column rank: no null space
+                out[cols.T] = 0.0
+                continue
             yj = out[cols.T]  # (k |C_j|, copies, p...)
             flat = yj.reshape(yj.shape[0], -1)
             out[cols.T] = (flat - V.T @ (V @ flat)).reshape(yj.shape)
@@ -206,6 +217,38 @@ def _places(parts, size: int):
     return part, place, sizes
 
 
+def _scatter(basis: StructureBasis, Y: list, m: int):
+    """Scatter-add every distinct block U_j of the system into one buffer,
+    C-ordered, from the triplets of its first copy and Y = [X E^i, i < k].
+
+    Returns the buffer and each block's offset and size in it."""
+    k, n, r = len(Y), basis.n, basis.r
+    # only the triplets in the rows of each block's first copy are scattered
+    part, row_at, height = _places([P[0] for P, _ in basis.blocks], n)
+    _, col_at, width = _places([C[0] for _, C in basis.blocks], r)
+    j = part[basis.rows]
+    kept = j >= 0
+    j, rows, cols, index, values = (a[kept] for a in (j, basis.rows, basis.cols, basis.index, basis.values))
+    size = m * height * k * width
+    start = np.cumsum(size) - size
+    # triplet (p, q, l, s) of block j lands in row c*|P_j| + (place of p in
+    # P_j) and column blk*|C_j| + (place of l in C_j) of U_j
+    stride = k * width[j]
+    first = start[j] + row_at[rows] * stride + col_at[index]
+    down = height[j] * stride
+    buf = np.zeros(size.sum())
+    # one coefficient block at a time: each entry of U belongs to one, so
+    # the sums run in the same order as in a single scatter of all of them
+    for blk in range(k):
+        at = np.multiply.outer(down, np.arange(m))  # (triplet, eigendata column)
+        at += (first + blk * width[j])[:, None]
+        vals = Y[k - 1 - blk][cols]  # s * (X E^i)[q, c], i = k - 1 - blk
+        vals *= values[:, None]
+        np.add.at(buf, at, vals)
+        del at, vals
+    return buf, start, size
+
+
 def assemble(
     ep: RealEigenpairs,
     basis: StructureBasis,
@@ -232,7 +275,11 @@ def assemble(
     -------
     AssembledSystem
         With one block of shape (m*|P_j|, k*|C_j|) per distinct block
-        (P_j, C_j) of the basis, and b of length m*n.
+        (P_j, C_j) of the basis, and b of length m*n.  ``plan`` holds the
+        basis's QR sweep at degree k (``sweep.plan_for``) when the system is
+        one block with one copy, with at least as many rows as columns and
+        at least SWEEP_MIN_COLS columns, and no front of the sweep is too
+        wide; it is None otherwise.
     """
     if k < 1:
         raise ValueError(f"polynomial degree must be at least 1, got k = {k}")
@@ -247,25 +294,8 @@ def assemble(
         )
     n, r, m = ep.n, basis.r, ep.m
     Y = _powers(ep, k)
-    # only the triplets in the rows of each block's first copy are scattered
-    part, row_at, height = _places([P[0] for P, _ in basis.blocks], n)
-    _, col_at, width = _places([C[0] for _, C in basis.blocks], r)
-    j = part[basis.rows]
-    kept = j >= 0
-    j, rows, cols, index, values = (a[kept] for a in (j, basis.rows, basis.cols, basis.index, basis.values))
-    size = m * height * k * width
-    start = np.cumsum(size) - size
-    # every block lies C-ordered in one buffer; triplet (p, q, l, s) of
-    # block j lands in row c*|P_j| + (place of p in P_j) and column
-    # blk*|C_j| + (place of l in C_j) of U_j
-    stride = k * width[j]
-    first = start[j] + row_at[rows] * stride + col_at[index]
-    at = (first + np.multiply.outer(np.arange(k), width[j]))[:, :, None]
-    at = at + np.multiply.outer(height[j] * stride, np.arange(m))
-    # (block, triplet, eigendata column) -> s * (X E^i)[q, c], i = k - 1 - block
-    vals = values[None, :, None] * np.stack(Y[k - 1 :: -1])[:, cols, :]
-    buf = np.zeros(size.sum())
-    np.add.at(buf, at, vals)
+    b = -Y.pop().reshape(-1, order="F")
+    buf, start, size = _scatter(basis, Y, m)
     # rows p + n*c and columns blk*r + l of every copy, one copy per row
     row_of, col_of = n * np.arange(m)[:, None], r * np.arange(k)[:, None]
     blocks = tuple(
@@ -276,8 +306,13 @@ def assemble(
         )
         for (P, C), lo, sz in zip(basis.blocks, start, size)
     )
-    b = -Y[k].reshape(-1, order="F")
-    return AssembledSystem(blocks=blocks, b=b, k=k, r=r, m=m, n=n)
+    plan = None
+    height, width = blocks[0][2].shape
+    if len(blocks) == 1 and len(blocks[0][0]) == 1 and height >= width >= SWEEP_MIN_COLS:
+        from . import sweep  # loaded only where it can run: loading costs time and memory
+
+        plan = sweep.plan_for(basis, k)
+    return AssembledSystem(blocks=blocks, b=b, k=k, r=r, m=m, n=n, plan=plan)
 
 
 def analyze(system: AssembledSystem, tol: ToleranceConfig = ToleranceConfig()) -> SolutionFamily:
@@ -294,21 +329,30 @@ def analyze(system: AssembledSystem, tol: ToleranceConfig = ToleranceConfig()) -
     relative to max(1, ||b||); the gap starts from -b, so rows of U that no
     block holds still count.  The solution is unique iff rank(U) equals the
     number of unknowns k*r.
+
+    When ``assemble`` attached a sweep plan, the QR sweep of
+    ``sweep.solve`` runs first.  If it certifies full column rank under the
+    same cutoff rule, its least-squares solution is x0 and the block keeps
+    no V_j (``project`` returns zeros there); else the SVD above runs
+    unchanged, so every uncertified result is the one the SVD gives.
     """
     b = system.b
-    svds = [np.linalg.svd(Uj, full_matrices=False) for _, _, Uj in system.blocks]
     cols = system.k * system.r
-    cutoff = tol.rank_cutoff(system.m * system.n, cols) * max(sigma[0] for _, sigma, _ in svds)
+    x = None
+    if system.plan is not None:
+        from . import sweep
+
+        ((R, _, Uj),) = system.blocks
+        x = sweep.solve(Uj, b[R[0]], system.m, system.plan, tol.rank_cutoff(system.m * system.n, cols))
+    solved = _by_svd(system, tol) if x is None else [(x[:, None], None)]
     x0 = np.zeros(cols)
     misfit = -b
     factors = []
-    for (R, C, Uj), (W, sigma, Vt) in zip(system.blocks, svds):
-        rj = int(np.count_nonzero(sigma > cutoff))
-        xj = Vt[:rj].T @ ((W[:, :rj].T @ b[R.T]) / sigma[:rj, None])  # one column per copy
+    for (R, C, Uj), (xj, V) in zip(system.blocks, solved):
         x0[C.T] = xj
         misfit[R.T] += Uj @ xj
-        factors.append((C, Vt[:rj]))
-    rank = sum(len(C) * V.shape[0] for C, V in factors)
+        factors.append((C, V))
+    rank = sum(len(C) * (C.shape[1] if V is None else len(V)) for C, V in factors)
     gap = float(np.linalg.norm(misfit))
     consistent = gap <= tol.consistency_tol * max(1.0, float(np.linalg.norm(b)))
     return SolutionFamily(
@@ -320,6 +364,18 @@ def analyze(system: AssembledSystem, tol: ToleranceConfig = ToleranceConfig()) -
         unique=rank == cols,
         consistency_residual=gap,
     )
+
+
+def _by_svd(system: AssembledSystem, tol: ToleranceConfig) -> list:
+    """(x_j, V_j) per distinct block from one SVD each: the minimal-norm
+    solutions of its copies, one column per copy, and its kept rows of V^T."""
+    svds = [np.linalg.svd(Uj, full_matrices=False) for _, _, Uj in system.blocks]
+    cutoff = tol.rank_cutoff(system.m * system.n, system.k * system.r) * max(sigma[0] for _, sigma, _ in svds)
+    solved = []
+    for (R, _, _), (W, sigma, Vt) in zip(system.blocks, svds):
+        rj = int(np.count_nonzero(sigma > cutoff))
+        solved.append((Vt[:rj].T @ ((W[:, :rj].T @ system.b[R.T]) / sigma[:rj, None]), Vt[:rj]))
+    return solved
 
 
 def extract_coefficient(x: np.ndarray, i: int, k: int, r: int) -> np.ndarray:

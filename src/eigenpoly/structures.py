@@ -95,6 +95,12 @@ class StructureBasis:
         return _frozen(P)
 
     @cached_property
+    def plans(self) -> dict:
+        """The solver's QR sweep plans of this basis, by degree k, filled
+        on first use (see ``solver.assemble``)."""
+        return {}
+
+    @cached_property
     def blocks(self) -> tuple:
         """The split of U into distinct blocks, as (rows of A, coordinates)
         pairs of shapes (copies, |P|) and (copies, |C|), one row per copy.

@@ -362,7 +362,9 @@ def test_cli_rejects_unknown_generate_kind():
 
 def test_solve_leaves_numpy_ma_unimported(tmp_path):
     # np.unique imports numpy.ma on first use, which once added about 1 MiB
-    # to a solve's traced peak; the solve path must not reach it
+    # to a solve's traced peak; the solve path must not reach it.  Nor may
+    # a solve that cannot use the QR sweep load its module, whose code and
+    # compilation add to the traced peak of every process that loads it
     data = tmp_path / "full.json"
     made = run_cli("generate", "random", "--n", "4", "--k", "2", "--structure", "full", "--m", "6",
                    "--seed", "3", "--output", str(data))
@@ -375,6 +377,7 @@ def test_solve_leaves_numpy_ma_unimported(tmp_path):
         f"             main(['solve', {str(FIXTURES / 'example1_eigendata.json')!r}, 'symmetric', '2'])]",
         "assert codes == [0, 0], codes",
         "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'",
+        "assert 'eigenpoly.sweep' not in sys.modules, 'eigenpoly.sweep was imported'",
     ])
     env = dict(os.environ, PYTHONPATH=str(Path(eigenpoly.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)

@@ -17,8 +17,10 @@ from conftest import (
     reference_solution,
     row_basis,
 )
+from eigenpoly import fixtures
 from eigenpoly.eigendata import Eigenpair, RealEigenpairs, encode
 from eigenpoly.solver import (
+    MonicPolynomial,
     ToleranceConfig,
     analyze,
     assemble,
@@ -27,7 +29,7 @@ from eigenpoly.solver import (
     solve,
 )
 from eigenpoly.structures import BUILTIN_KINDS, build_basis, coords_of, load_custom_basis, realize, vec
-from eigenpoly.verify import choose_eigenpairs, residual
+from eigenpoly.verify import choose_eigenpairs, companion_eigs, residual
 
 
 def scalar_pairs(values):
@@ -535,3 +537,197 @@ def test_full_solve_at_order_150_stays_small():
         tracemalloc.stop()
     assert poly is not None and family.rank == m * n
     assert peak < 10 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+# --- the certified QR sweep of a tall chain block ---
+
+
+def certified(family):
+    """Whether analyze took the sweep: a certified block keeps no V_j."""
+    return all(V is None for _, V in family.factors)
+
+
+def spring_chain_data(basis, m, seed):
+    """A consistent, unique chain problem: a damped spring-mass quadratic
+    (stiffness and damping of fixed-fixed chains) in the
+    symmetric_tridiagonal ``basis`` and m real-form columns of its
+    eigendata."""
+    n = basis.n
+    rng = np.random.default_rng(seed)
+
+    def chain(w):
+        return np.diag(w[:-1] + w[1:]) - np.diag(w[1:-1], 1) - np.diag(w[1:-1], -1)
+
+    stiffness, damping = chain(rng.uniform(0.5, 2.0, n + 1)), chain(rng.uniform(0.02, 0.2, n + 1))
+    gen = MonicPolynomial(n, 2, tuple(realize(basis, coords_of(basis, a)) for a in (stiffness, damping)))
+    return gen, encode(choose_eigenpairs(companion_eigs(gen), m, rng), n)
+
+
+def shuffled_chain_basis(n, seed):
+    """A custom chain: diagonal entries and links (perm[l], perm[l + 1]),
+    its rows visited in a random order and its matrices listed shuffled."""
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(n)
+    mats = []
+    for i, j in [(p, p) for p in range(n)] + list(zip(perm[:-1], perm[1:])):
+        a = np.zeros((n, n))
+        a[i, j] = a[j, i] = 1.0
+        mats.append(a)
+    return load_custom_basis([mats[i] for i in rng.permutation(len(mats))])
+
+
+@pytest.mark.parametrize("k,n", [(1, 50), (2, 25), (3, 17)])
+def test_sweep_matches_dense_svd_on_symmetric_tridiagonal(k, n):
+    basis = build_basis("symmetric_tridiagonal", n)
+    for m in (-(-k * basis.r // n), 2 * k + 3):
+        system = assemble(random_real_form(n, m, seed=300 + 10 * k + m), basis, k, allow_overdetermined=True)
+        assert system.plan is not None
+        family = analyze(system)
+        assert certified(family) and family.unique
+        assert_matches_dense_oracle(system, family)
+
+
+def test_sweep_matches_dense_svd_on_consistent_chain_data():
+    basis = build_basis("symmetric_tridiagonal", 30)
+    for seed in (1, 2):
+        gen, ep = spring_chain_data(basis, 6, seed)
+        system = assemble(ep, basis, 2)
+        family = analyze(system)
+        assert certified(family) and family.consistent and family.unique
+        assert_matches_dense_oracle(system, family)
+        x = np.concatenate([c.coords for c in gen.coefficients[::-1]])
+        assert np.linalg.norm(family.x0 - x) <= 1e-8 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_sweep_follows_a_custom_chain_in_shuffled_order(k):
+    n = 50 if k == 1 else 30
+    basis = shuffled_chain_basis(n, seed=17 + k)
+    for m in (-(-k * basis.r // n), 2 * k + 2):
+        system = assemble(random_real_form(n, m, seed=400 + 10 * k + m), basis, k, allow_overdetermined=True)
+        steps = system.plan[0]
+        # the breadth-first order finds the chain: a step holds at most the
+        # three coordinates of its row, times k
+        assert max(front.size for _, front, *_ in steps) == 3 * k
+        family = analyze(system)
+        assert certified(family)
+        assert_matches_dense_oracle(system, family)
+
+
+@pytest.mark.parametrize("scale", [1e-11, 1e-17])
+def test_refused_sweep_is_the_block_svd_bit_for_bit(scale, monkeypatch):
+    # one row of X far below the others: at 1e-11 U keeps full rank but no
+    # clear gap, at 1e-17 it loses rank; the certificate refuses both
+    n, k, m = 40, 2, 6
+    ep = random_real_form(n, m, seed=500)
+    X = ep.X.copy()
+    X[17] *= scale
+    system = assemble(RealEigenpairs.from_matrices(X, ep.E), build_basis("symmetric_tridiagonal", n), k)
+    assert system.plan is not None
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+    family = analyze(system)
+    assert len(calls) == 1 and not certified(family)
+    monkeypatch.undo()
+    # one block holding every row and column in order: U_j is U itself
+    rank, x0, _, _ = dense_oracle(system)
+    assert np.array_equal(family.x0, x0)
+    assert family.rank == rank and family.unique == (rank == k * (2 * n - 1))
+    gap = np.linalg.norm(system.U @ x0 - system.b)
+    assert family.consistent == (gap <= 1e-8 * max(1.0, np.linalg.norm(system.b)))
+    assert (family.rank == k * (2 * n - 1)) == (scale == 1e-11)
+
+
+def test_certified_band_solve_takes_no_svd_and_keeps_no_square_factor(monkeypatch):
+    # the band workload's size: n = 120, k = 2, m = 10, U is 1200 x 478
+    basis = build_basis("symmetric_tridiagonal", 120)
+    _, ep = spring_chain_data(basis, 10, seed=3)
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+    _, family = solve(ep, basis, 2)
+    y = np.random.default_rng(5).standard_normal(478)
+    member, again = solve(ep, basis, 2, y=y)
+    assert calls == [] and certified(family) and family.unique and family.consistent
+    # x0 and the column indices are the largest arrays the family keeps
+    held = [v for v in vars(family).values() if isinstance(v, np.ndarray)]
+    held += [a for pair in family.factors for a in pair if a is not None]
+    assert max(a.size for a in held) == 478
+    assert np.array_equal(family.project(y), np.zeros(478))
+    assert np.array_equal(family.project(np.ones((478, 3))), np.zeros((478, 3)))
+    assert np.array_equal(again.x0, family.x0)
+    x = np.concatenate([c.coords for c in member.coefficients[::-1]])
+    assert np.array_equal(x, family.x0)
+
+
+@pytest.mark.parametrize("kind,n", [("symmetric", 24), ("skew_symmetric", 24), ("hankel", 50), ("toeplitz", 50)])
+def test_wide_fronts_stay_with_the_svd(kind, n):
+    # tall and wide enough for the sweep, but a row of A meets n of the
+    # coordinates (n - 1 for skew_symmetric), and every anti-diagonal or
+    # diagonal meets many rows: the fronts hold half the columns or more
+    basis = build_basis(kind, n)
+    for k in (1, 2):
+        m = -(-k * basis.r // n) + 1
+        system = assemble(random_real_form(n, m, seed=600 + k), basis, k, allow_overdetermined=True)
+        assert system.blocks[0][2].shape[1] >= 96 and system.plan is None
+        assert np.array_equal(analyze(system).x0, dense_oracle(system)[1])
+
+
+def test_small_and_shared_blocks_build_no_plan():
+    # the sizes of the roundtrip cycle's chain and of the dense workload
+    cases = [("symmetric_tridiagonal", 8, 2, 8), ("hankel", 3, 4, 8), ("full", 24, 2, 40), ("tridiagonal", 40, 2, 10)]
+    for kind, n, k, m in cases:
+        basis = build_basis(kind, n)
+        system = assemble(random_real_form(n, m, seed=700), basis, k)
+        assert system.plan is None and basis.plans == {}
+
+
+@pytest.mark.parametrize("kind,n,m", [("tridiagonal", 2000, 20), ("pentadiagonal", 500, 100)])
+def test_assemble_peak_stays_within_three_times_the_blocks(kind, n, m):
+    # one coefficient block is scattered at a time, so the index and value
+    # arrays of the scatter are (triplets, m), not (k, triplets, m)
+    ep = random_real_form(n, m, seed=800)
+    basis = build_basis(kind, n)
+    basis.blocks  # built with the basis, not by assemble
+    tracemalloc.start()
+    try:
+        system = assemble(ep, basis, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(Uj.nbytes for _, _, Uj in system.blocks)
+    assert peak <= 3 * held, f"peak {peak / 2**20:.2f} MiB for {held / 2**20:.2f} MiB of blocks"
+
+
+def test_example3_keeps_its_svd_ranks():
+    # criterion 3's order-50 chain: the certificate refuses every tall
+    # selection (no clear gap), so the ranks the README documents come from
+    # the same block SVD as before
+    basis = build_basis("symmetric_tridiagonal", 50)
+    for m, expected in ((2, 47), (4, 86), (6, 190), (10, 198)):
+        system = assemble(encode(fixtures.example3_eigenpairs(m), 50), basis, 2)
+        assert (system.plan is not None) == (m >= 4)
+        family = analyze(system)
+        assert family.rank == expected and not certified(family)
+        assert np.array_equal(family.x0, dense_oracle(system)[1])
+
+
+def test_sweep_certificate_follows_a_user_rank_factor():
+    basis = build_basis("symmetric_tridiagonal", 30)
+    _, ep = spring_chain_data(basis, 6, seed=4)
+    system = assemble(ep, basis, 2)
+    sigma = np.linalg.svd(system.U, compute_uv=False)
+    ratio = sigma[-1] / sigma[0]
+    # a factor above sigma_min / sigma_max makes the SVD drop columns, so
+    # the certificate must refuse and leave the block SVD's answer
+    tol = ToleranceConfig(rank_cutoff_factor=10 * ratio)
+    family = analyze(system, tol)
+    rank, x0, _, _ = dense_oracle(system, tol)
+    assert not certified(family) and family.rank == rank < system.U.shape[1]
+    assert np.array_equal(family.x0, x0)
+    # one far below it leaves a clear gap
+    tol = ToleranceConfig(rank_cutoff_factor=1e-6 * ratio)
+    family = analyze(system, tol)
+    assert certified(family)
+    assert_matches_dense_oracle(system, family, tol)
