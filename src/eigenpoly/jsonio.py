@@ -97,8 +97,7 @@ def dumps(obj) -> str:
 
 
 def _matrix(rows) -> list:
-    a = np.asarray(rows, dtype=float)
-    return [[float(v) for v in row] for row in a]
+    return np.asarray(rows, dtype=float).tolist()
 
 
 def _require(obj, key, context):
@@ -157,10 +156,7 @@ def eigendata_to_obj(n: int, pairs) -> dict:
         "eigenpairs": [
             {
                 "lambda": {"re": p.eigenvalue.real, "im": p.eigenvalue.imag},
-                "vector": {
-                    "re": [float(v) for v in p.vector.real],
-                    "im": [float(v) for v in p.vector.imag],
-                },
+                "vector": {"re": p.vector.real.tolist(), "im": p.vector.imag.tolist()},
             }
             for p in pairs
         ],

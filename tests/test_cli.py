@@ -12,6 +12,7 @@ import pytest
 
 import eigenpoly
 from conftest import FIXTURES, MIN_ORDER, run_cli
+from eigenpoly import cli
 from eigenpoly.jsonio import dumps, polynomial_to_obj
 from eigenpoly.structures import BUILTIN_KINDS, build_basis
 
@@ -151,6 +152,37 @@ def test_solve_free_parameter_vector(tmp_path):
     y_path.write_text(json.dumps([float("nan")] * 12))
     res = run_cli("solve", EX1_DATA, "symmetric", "2", "--y", str(y_path))
     assert res.code == 1 and "expected finite numbers" in res.err
+
+
+def test_parser_is_built_once_and_carries_no_state(tmp_path):
+    assert cli._build_parser() is cli._build_parser()
+    first = run_cli("solve", EX1_DATA, "symmetric", "2")
+    assert first.code == 0
+    assert run_cli("solve", EX1_DATA, "symmetric", "2") == first
+    y_path = tmp_path / "y.json"
+    y_path.write_text(json.dumps([1.5] * 12))
+    shifted = run_cli("solve", EX1_DATA, "symmetric", "2", "--y", str(y_path))
+    assert shifted.code == 0 and shifted.out != first.out
+    # the next plain solve is the minimal-norm report again: y is not kept
+    assert run_cli("solve", EX1_DATA, "symmetric", "2") == first
+    for bad in (("solve", EX1_DATA, "symmetric"), ("solve", EX1_DATA, "symmetric", "two"),
+                ("solve", EX1_DATA, "symmetric", "2", "--no-such-flag")):
+        assert run_cli(*bad).code == 1
+        assert run_cli("solve", EX1_DATA, "symmetric", "2") == first
+    table = run_cli("verify", EX1_POLY, EX1_DATA, "--format", "table", "--tol-consistency", "1e-3")
+    assert table.code == 0 and table.out.startswith("fro ")
+    plain = run_cli("verify", EX1_POLY, EX1_DATA)
+    assert plain.code == 3 and json.loads(plain.out)["fro"] > 0
+
+
+def test_main_calls_the_command_function_bound_at_call_time(monkeypatch):
+    # the parser is shared, so a wrapper put on cmd_* after it was built
+    # (as the benchmark tracer does) must still be the function that runs
+    cli._build_parser()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_basis", lambda args: seen.append(args.structure) or 0)
+    assert run_cli("basis", "symmetric", "--n", "3") == run_cli("basis", "full", "--n", "3")
+    assert seen == ["symmetric", "full"]
 
 
 def test_solve_overdetermined_flag(tmp_path):
@@ -360,6 +392,23 @@ def test_cli_rejects_unknown_generate_kind():
     assert run_cli("generate", "example9").code == 1
 
 
+def _assert_calls_leave_unimported(calls):
+    # run the CLI calls in one fresh interpreter, each expected to exit 0,
+    # and check that none of them loaded numpy.ma or eigenpoly.sweep
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "from eigenpoly.cli import main",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        f"    codes = [main(argv) for argv in {calls!r}]",
+        "assert codes == [0] * len(codes), codes",
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'",
+        "assert 'eigenpoly.sweep' not in sys.modules, 'eigenpoly.sweep was imported'",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(Path(eigenpoly.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_solve_leaves_numpy_ma_unimported(tmp_path):
     # np.unique imports numpy.ma on first use, which once added about 1 MiB
     # to a solve's traced peak; the solve path must not reach it.  Nor may
@@ -369,16 +418,18 @@ def test_solve_leaves_numpy_ma_unimported(tmp_path):
     made = run_cli("generate", "random", "--n", "4", "--k", "2", "--structure", "full", "--m", "6",
                    "--seed", "3", "--output", str(data))
     assert made.code == 0
-    script = "\n".join([
-        "import contextlib, io, sys",
-        "from eigenpoly.cli import main",
-        "with contextlib.redirect_stdout(io.StringIO()):",
-        f"    codes = [main(['solve', {str(data)!r}, 'full', '2']),",
-        f"             main(['solve', {str(FIXTURES / 'example1_eigendata.json')!r}, 'symmetric', '2'])]",
-        "assert codes == [0, 0], codes",
-        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'",
-        "assert 'eigenpoly.sweep' not in sys.modules, 'eigenpoly.sweep was imported'",
+    _assert_calls_leave_unimported([["solve", str(data), "full", "2"], ["solve", EX1_DATA, "symmetric", "2"]])
+
+
+def test_generate_and_verify_leave_numpy_ma_and_sweep_unimported(tmp_path):
+    # the rest of a generate/solve/verify cycle keeps the same two modules out
+    data, truth = str(tmp_path / "data.json"), str(tmp_path / "truth.json")
+    _assert_calls_leave_unimported([
+        ["generate", "random", "--n", "4", "--k", "2", "--structure", "toeplitz", "--m", "8",
+         "--seed", "3", "--output", data, "--ground-truth", truth],
+        ["solve", data, "toeplitz", "2"],
+        ["verify", truth, data],
+        ["verify", truth, data, "--format", "table"],
+        ["generate", "example2"],
+        ["verify", EX2_POLY, EX2_DATA, "--tol-consistency", "1e-2"],
     ])
-    env = dict(os.environ, PYTHONPATH=str(Path(eigenpoly.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr

@@ -1,10 +1,12 @@
 """Deterministic JSON serialization and schema validation."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eigenpoly
 from conftest import reference_eigendata, reference_solution
 from eigenpoly import fixtures
 from eigenpoly.eigendata import Eigenpair
@@ -193,3 +195,12 @@ def test_serialized_eigenpair_object_layout():
     assert entry["lambda"] == {"re": 1.5, "im": -2.5}
     assert entry["vector"]["re"] == [1.0, -2.0]
     assert entry["vector"]["im"] == [0.5, 0.0]
+
+
+@pytest.mark.parametrize(
+    "path", sorted((Path(eigenpoly.__file__).parent / "data").glob("*.json")), ids=lambda p: p.name
+)
+def test_shipped_data_is_exactly_what_dumps_writes(path):
+    # pins the writer's bytes: every shipped file reads back to itself
+    text = path.read_text()
+    assert dumps(json.loads(text)) == text
