@@ -8,7 +8,7 @@ that system answers existence and uniqueness while providing the
 minimal-norm solution and the full solution family.
 """
 
-from .eigendata import Eigenpair, RealEigenpairs, decode, encode
+from .eigendata import Eigenpair, RealEigenpairs, encode
 from .fixtures import generate_example3
 from .solver import (
     AssembledSystem,
@@ -31,7 +31,6 @@ from .structures import (
     coords_of,
     load_custom_basis,
     realize,
-    vec,
 )
 from .verify import (
     ResidualReport,
@@ -62,7 +61,6 @@ __all__ = [
     "choose_eigenpairs",
     "companion_eigs",
     "coords_of",
-    "decode",
     "encode",
     "extract_coefficient",
     "generate_example3",
@@ -72,5 +70,4 @@ __all__ = [
     "realize",
     "residual",
     "solve",
-    "vec",
 ]

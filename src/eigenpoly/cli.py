@@ -149,11 +149,12 @@ def cmd_generate(args) -> int:
         ground_truth = random_polynomial(basis, args.k, rng)
         pairs = choose_eigenpairs(companion_eigs(ground_truth), args.m, rng)
         n = args.n
-    encode(pairs, n)  # validate before writing anything
+    # validate before writing anything
+    encode(pairs, n)
+    if args.ground_truth and ground_truth is None:
+        raise ValueError(f"kind {args.kind!r} has no generator polynomial to write")
     _emit(dumps(eigendata_to_obj(n, pairs)), args.output)
     if args.ground_truth:
-        if ground_truth is None:
-            raise ValueError(f"kind {args.kind!r} has no generator polynomial to write")
         obj = polynomial_to_obj(ground_truth.n, ground_truth.k, ground_truth.dense_coefficients())
         with open(args.ground_truth, "w") as fh:
             fh.write(dumps(obj))

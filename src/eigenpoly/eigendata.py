@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Eigenpair", "RealEigenpairs", "decode", "encode"]
+__all__ = ["Eigenpair", "RealEigenpairs", "encode"]
 
 _CONJUGATE_TOL = 1e-10
 _REAL_VECTOR_TOL = 1e-12
@@ -89,21 +89,6 @@ class RealEigenpairs:
         _check_block_diagonal(E, self.t)
         object.__setattr__(self, "X", _frozen(X))
         object.__setattr__(self, "E", _frozen(E))
-
-    @classmethod
-    def from_matrices(cls, X: np.ndarray, E: np.ndarray) -> "RealEigenpairs":
-        """Build from raw (X, E), inferring the complex block count from E."""
-        X = np.asarray(X, dtype=float)
-        E = np.asarray(E, dtype=float)
-        if X.ndim != 2 or E.ndim != 2 or E.shape[0] != E.shape[1]:
-            raise ValueError("X must be n-by-m and E square m-by-m")
-        m = E.shape[0]
-        if X.shape[1] != m:
-            raise ValueError(f"X has {X.shape[1]} columns but E is {m}x{m}")
-        t, idx = 0, 0
-        while idx + 1 < m and E[idx + 1, idx] != 0.0:
-            t, idx = t + 1, idx + 2
-        return cls(n=X.shape[0], m=m, t=t, X=X, E=E)
 
 
 def _check_block_diagonal(E: np.ndarray, t: int) -> None:
@@ -181,18 +166,3 @@ def encode(pairs, n: int) -> RealEigenpairs:
         E[col, col] = p.eigenvalue.real
         X[:, col] = p.vector.real
     return RealEigenpairs(n=n, m=m, t=t, X=X, E=E)
-
-
-def decode(ep: RealEigenpairs) -> list:
-    """Unpack real-form eigendata back into a list of Eigenpair values.
-
-    Complex blocks yield the representative with the stored sign of the
-    imaginary part; the implied conjugate member is not materialized.
-    """
-    out = []
-    for j in range(ep.t):
-        lam = complex(ep.E[2 * j, 2 * j], ep.E[2 * j, 2 * j + 1])
-        out.append(Eigenpair(lam, ep.X[:, 2 * j] + 1j * ep.X[:, 2 * j + 1]))
-    for col in range(2 * ep.t, ep.m):
-        out.append(Eigenpair(complex(ep.E[col, col]), ep.X[:, col].astype(complex)))
-    return out

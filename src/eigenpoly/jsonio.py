@@ -106,6 +106,13 @@ def _require(obj, key, context):
     return obj[key]
 
 
+def _positive_int(obj, key, context) -> int:
+    value = _require(obj, key, context)
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{context}: {key} must be a positive integer, got {value!r}")
+    return value
+
+
 def _floats(obj, context) -> np.ndarray:
     # an integer beyond the float range counts as non-finite
     try:
@@ -125,9 +132,7 @@ def _number_list(obj, context) -> np.ndarray:
 
 def obj_to_eigenpairs(obj) -> tuple:
     """Parse an eigendata object into (n, list of Eigenpair)."""
-    n = _require(obj, "n", "eigendata")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"eigendata: n must be a positive integer, got {n!r}")
+    n = _positive_int(obj, "n", "eigendata")
     raw = _require(obj, "eigenpairs", "eigendata")
     if not isinstance(raw, list):
         raise ValueError("eigendata: eigenpairs must be a list")
@@ -135,15 +140,15 @@ def obj_to_eigenpairs(obj) -> tuple:
     for idx, entry in enumerate(raw):
         where = f"eigenpairs[{idx}]"
         lam = _require(entry, "lambda", where)
-        vec = _require(entry, "vector", where)
+        vector = _require(entry, "vector", where)
         re_part = _require(lam, "re", f"{where}.lambda")
         im_part = _require(lam, "im", f"{where}.lambda")
         for label, v in (("re", re_part), ("im", im_part)):
             if not isinstance(v, (int, float)) or isinstance(v, bool):
                 raise ValueError(f"{where}.lambda.{label}: expected a number")
             _floats(v, f"{where}.lambda.{label}")
-        v_re = _number_list(_require(vec, "re", f"{where}.vector"), f"{where}.vector.re")
-        v_im = _number_list(_require(vec, "im", f"{where}.vector"), f"{where}.vector.im")
+        v_re = _number_list(_require(vector, "re", f"{where}.vector"), f"{where}.vector.re")
+        v_im = _number_list(_require(vector, "im", f"{where}.vector"), f"{where}.vector.im")
         if v_re.shape != (n,) or v_im.shape != (n,):
             raise ValueError(f"{where}.vector: parts must have length n = {n}")
         pairs.append(Eigenpair(complex(re_part, im_part), v_re + 1j * v_im))
@@ -186,11 +191,8 @@ def load_polynomial(path) -> tuple:
     """Read a polynomial JSON file; returns (n, k, [A_0, ..., A_{k-1}])."""
     with open(path) as fh:
         obj = json.load(fh)
-    n = _require(obj, "n", "polynomial")
-    k = _require(obj, "k", "polynomial")
-    for label, v in (("n", n), ("k", k)):
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise ValueError(f"polynomial: {label} must be a positive integer, got {v!r}")
+    n = _positive_int(obj, "n", "polynomial")
+    k = _positive_int(obj, "k", "polynomial")
     if obj.get("monic") is not True:
         raise ValueError("polynomial: only monic polynomials are supported, expected \"monic\": true")
     raw = _require(obj, "coefficients", "polynomial")
@@ -212,9 +214,7 @@ def load_custom_basis_file(path) -> StructureBasis:
     """Read a custom basis JSON file and validate it."""
     with open(path) as fh:
         obj = json.load(fh)
-    n = _require(obj, "n", "basis")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"basis: n must be a positive integer, got {n!r}")
+    n = _positive_int(obj, "n", "basis")
     raw = _require(obj, "matrices", "basis")
     if not isinstance(raw, list) or not raw:
         raise ValueError("basis: matrices must be a nonempty list")

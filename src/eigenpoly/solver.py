@@ -9,11 +9,12 @@ has every prescribed eigenpair.  The defining relation
 
     sum_{i=0..k} A_i X E^i = 0        (A_k = I)
 
-vectorizes to a single linear system U x = b over the stacked coordinate
-vectors of the unknown coefficients:
+stacks, column by column, to a single linear system U x = b over the
+stacked coordinate vectors of the unknown coefficients:
 
-    U = [ ((X E^{k-1})^T kron I) P | ... | (X^T kron I) P ],   b = vec(-X E^k)
+    U = [ ((X E^{k-1})^T kron I) P | ... | (X^T kron I) P ],   b = -X E^k stacked
 
+where column l of the n^2-by-r matrix P is S_l stacked the same way.
 ``assemble`` forms neither the Kronecker products nor P nor U itself.
 Entry (p + n*c, blk*r + l) of U, where block blk holds A_i with
 i = k - 1 - blk, is nonzero only if S_l has an entry in row p of A, so the
@@ -63,7 +64,7 @@ __all__ = [
 ]
 
 DEFAULT_CONSISTENCY_TOL = 1e-8
-DEFAULT_PD_TOL = 1e-12
+_PD_TOL = 1e-12
 # the QR sweep is tried on a tall one-block system of at least this many
 # columns; the crossover against the SVD is measured in the README
 SWEEP_MIN_COLS = 96
@@ -180,19 +181,12 @@ class MonicPolynomial:
         """The trailing coefficients A_0, ..., A_{k-1} as dense arrays."""
         return [c.dense for c in self.coefficients]
 
-    def evaluate(self, lam: complex) -> np.ndarray:
-        """Evaluate P(lambda) = lambda^k I + sum lambda^i A_i densely."""
-        acc = lam**self.k * np.eye(self.n, dtype=complex)
-        for i, c in enumerate(self.coefficients):
-            acc += lam**i * c.dense
-        return acc
-
 
 def _powers(ep: RealEigenpairs, k: int) -> list:
     """The products X E^i for i = 0, ..., k; raises if any overflows.
 
     A finite product whose Frobenius norm overflows counts as overflowing,
-    because ``analyze`` takes the norm of b = -vec(X E^k) by squaring."""
+    because ``analyze`` takes the norm of b, -X E^k stacked, by squaring."""
     pows = [np.eye(ep.m)]
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(k):
@@ -435,7 +429,7 @@ def solve(
     return MonicPolynomial(n=basis.n, k=k, coefficients=coeffs), family
 
 
-def monicize(leading: np.ndarray, coefficients, pd_tol: float = DEFAULT_PD_TOL):
+def monicize(leading: np.ndarray, coefficients):
     """Reduce a polynomial with symmetric positive definite leading coefficient
     to monic form by the congruence A_i -> L^{-1/2} A_i L^{-1/2}.
 
@@ -445,12 +439,10 @@ def monicize(leading: np.ndarray, coefficients, pd_tol: float = DEFAULT_PD_TOL):
     Parameters
     ----------
     leading : ndarray
-        The leading coefficient A_k, symmetric positive definite.
+        The leading coefficient A_k, symmetric positive definite: its
+        smallest eigenvalue must exceed 1e-12 times its largest.
     coefficients : sequence of ndarray
         Trailing coefficients A_0, ..., A_{k-1}, each symmetric.
-    pd_tol : float
-        Definiteness threshold: the smallest eigenvalue of A_k must exceed
-        pd_tol times the largest.
 
     Returns
     -------
@@ -466,7 +458,7 @@ def monicize(leading: np.ndarray, coefficients, pd_tol: float = DEFAULT_PD_TOL):
         if gap > 1e-10 * max(1.0, np.linalg.norm(m, "fro")):
             raise ValueError(f"{label} is not symmetric (asymmetry {gap:.3e})")
     w, Q = np.linalg.eigh(0.5 * (leading + leading.T))
-    if w[0] <= pd_tol * w[-1]:
+    if w[0] <= _PD_TOL * w[-1]:
         raise ValueError(
             f"leading coefficient is not positive definite "
             f"(smallest eigenvalue {w[0]:.3e} vs largest {w[-1]:.3e})"

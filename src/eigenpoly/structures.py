@@ -7,12 +7,10 @@ at (rows[t], cols[t]).  Built-in kinds generate them from index rules,
 custom bases from the nonzeros of their matrices.  Realizing a member,
 extracting the coordinates of a built-in member and assembling the
 solver's system work on the triplets, so the cost grows with the nonzeros,
-not with n^2 * r.  The n^2-by-r pattern matrix P with vec(A) = P @ alpha
-is built from the triplets only on request.
+not with n^2 * r.  The triplets are the only stored form of a basis.
 
-Built-in kinds have {-1, 0, 1} basis matrices with disjoint supports, so P
-has orthogonal columns.  Custom bases only need linear independence,
-which is checked on load.
+Built-in kinds have {-1, 0, 1} basis matrices with disjoint supports.
+Custom bases only need linear independence, which is checked on load.
 
 ``StructureBasis.blocks`` splits the rows of A and the coordinates by one
 rule read off the triplets.  When every S_l has its entries in a single row
@@ -38,7 +36,6 @@ from .eigendata import _frozen
 
 __all__ = [
     "BUILTIN_KINDS",
-    "DEFAULT_MEMBERSHIP_TOL",
     "StructureBasis",
     "StructureMembershipError",
     "StructuredMatrix",
@@ -47,19 +44,13 @@ __all__ = [
     "coords_of",
     "load_custom_basis",
     "realize",
-    "vec",
 ]
 
-DEFAULT_MEMBERSHIP_TOL = 1e-10
+_MEMBERSHIP_TOL = 1e-10
 
 
 class StructureMembershipError(ValueError):
     """Raised when a matrix does not lie in the claimed structure subspace."""
-
-
-def vec(a: np.ndarray) -> np.ndarray:
-    """Stack the columns of a matrix into a single vector (column-major)."""
-    return np.asarray(a, dtype=float).reshape(-1, order="F")
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,13 +77,6 @@ class StructureBasis:
     cols: np.ndarray = field(repr=False)
     index: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
-
-    @cached_property
-    def pattern(self) -> np.ndarray:
-        """The n^2-by-r matrix P with columns vec(S_l), read-only."""
-        P = np.zeros((self.n * self.n, self.r))
-        P[self.rows + self.n * self.cols, self.index] = self.values
-        return _frozen(P)
 
     @cached_property
     def plans(self) -> dict:
@@ -152,8 +136,8 @@ class StructuredMatrix:
     """A matrix certified to lie in a structure subspace.
 
     Carries the coordinate vector and the realized dense matrix, so
-    vec(dense) = P @ coords holds by construction for the pattern matrix P
-    of the basis it was realized from.
+    dense = sum_l coords[l] * S_l holds by construction for the basis it
+    was realized from.
     """
 
     coords: np.ndarray = field(repr=False)
@@ -269,17 +253,19 @@ def load_custom_basis(matrices: Sequence[np.ndarray]) -> StructureBasis:
     if len(matrices) == 0:
         raise ValueError("custom basis needs at least one matrix")
     mats = [np.asarray(m, dtype=float) for m in matrices]
-    n = mats[0].shape[0] if mats[0].ndim == 2 else -1
     for idx, m in enumerate(mats):
-        if m.ndim != 2 or m.shape != (n, n):
-            raise ValueError(f"basis matrix {idx} is not {n}x{n}, got shape {m.shape}")
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+            raise ValueError(f"basis matrix {idx} is not a nonempty square 2-D matrix, got shape {m.shape}")
+        if m.shape != mats[0].shape:
+            raise ValueError(f"basis matrix {idx} is not {len(mats[0])}x{len(mats[0])}, got shape {m.shape}")
         if not np.isfinite(m).all():
             raise ValueError(f"basis matrix {idx} has non-finite entries")
     stack = np.stack(mats)
     index, rows, cols = np.nonzero(stack)
-    basis = StructureBasis("custom", n, len(mats), *map(_frozen, (rows, cols, index, stack[index, rows, cols])))
-    sv = np.linalg.svd(basis.pattern, compute_uv=False)
-    cutoff = np.finfo(float).eps * max(basis.pattern.shape) * sv[0]
+    basis = StructureBasis("custom", len(mats[0]), len(mats), *map(_frozen, (rows, cols, index, stack[index, rows, cols])))
+    P = _stacked_columns(basis)
+    sv = np.linalg.svd(P, compute_uv=False)
+    cutoff = np.finfo(float).eps * max(P.shape) * sv[0]
     rank = int(np.count_nonzero(sv > cutoff))
     if rank < len(mats):
         raise ValueError(
@@ -288,41 +274,52 @@ def load_custom_basis(matrices: Sequence[np.ndarray]) -> StructureBasis:
     return basis
 
 
+def _stacked_columns(basis: StructureBasis) -> np.ndarray:
+    """The n^2-by-r matrix whose column l is S_l stacked column by column,
+    built for one call and not kept.  Entries no triplet lists are +0.0,
+    also where a custom matrix held -0.0."""
+    P = np.zeros((basis.n * basis.n, basis.r))
+    P[basis.rows + basis.n * basis.cols, basis.index] = basis.values
+    return P
+
+
 def realize(basis: StructureBasis, coords: np.ndarray) -> StructuredMatrix:
     """Realize the dense matrix sum_l coords_l * S_l as a StructuredMatrix."""
     coords = np.asarray(coords, dtype=float)
     if coords.shape != (basis.r,):
         raise ValueError(f"expected {basis.r} coordinates, got shape {coords.shape}")
-    dense = np.zeros((basis.n, basis.n), order="F")  # column-major, as vec() reads it
+    # column-major: a C-ordered array changes the last digits of the residuals
+    dense = np.zeros((basis.n, basis.n), order="F")
     np.add.at(dense, (basis.rows, basis.cols), basis.values * coords[basis.index])
     return StructuredMatrix(coords=_frozen(coords), dense=_frozen(dense))
 
 
-def coords_of(basis: StructureBasis, a: np.ndarray, tol: float = DEFAULT_MEMBERSHIP_TOL) -> np.ndarray:
+def coords_of(basis: StructureBasis, a: np.ndarray) -> np.ndarray:
     """Extract the coordinate vector of a matrix in the structure subspace.
 
-    Built-in bases have orthogonal pattern columns, so each coordinate is
+    Built-in basis matrices have disjoint supports, so each coordinate is
     read off the triplets as sum_t s_t a[p_t, q_t] / sum_t s_t^2.  Custom
-    bases solve vec(a) = P @ coords by least squares.  The reconstruction
-    is then verified so matrices outside the subspace are rejected.
+    bases solve for the coordinates by least squares on the stacked
+    columns of their matrices.  The reconstruction is then verified so
+    matrices outside the subspace are rejected.
 
     Raises
     ------
     StructureMembershipError
-        If ||realize(coords) - a||_F > tol * max(1, ||a||_F).
+        If ||realize(coords) - a||_F > 1e-10 * max(1, ||a||_F).
     """
     a = np.asarray(a, dtype=float)
     if a.shape != (basis.n, basis.n):
         raise ValueError(f"expected a {basis.n}x{basis.n} matrix, got shape {a.shape}")
     if basis.kind == "custom":
-        coords = np.linalg.lstsq(basis.pattern, vec(a), rcond=None)[0]
+        coords = np.linalg.lstsq(_stacked_columns(basis), a.reshape(-1, order="F"), rcond=None)[0]
     else:
         weights = np.bincount(basis.index, basis.values * basis.values, basis.r)
         coords = np.bincount(basis.index, basis.values * a[basis.rows, basis.cols], basis.r) / weights
     gap = np.linalg.norm(realize(basis, coords).dense - a)
-    if gap > tol * max(1.0, np.linalg.norm(a, "fro")):
+    if gap > _MEMBERSHIP_TOL * max(1.0, np.linalg.norm(a, "fro")):
         raise StructureMembershipError(
             f"matrix is not {basis.kind} within tolerance "
-            f"(reconstruction gap {gap:.3e}, tol {tol:.1e})"
+            f"(reconstruction gap {gap:.3e}, tol {_MEMBERSHIP_TOL:.1e})"
         )
     return coords

@@ -71,10 +71,18 @@ def random_instance(kind, n, k, seed):
     return basis, gen, companion_eigs(gen)
 
 
+def evaluate(poly, lam):
+    """P(lambda) = lambda^k I + sum_i lambda^i A_i of a MonicPolynomial, densely."""
+    acc = lam**poly.k * np.eye(poly.n, dtype=complex)
+    for i, c in enumerate(poly.coefficients):
+        acc += lam**i * c.dense
+    return acc
+
+
 def pair_residual(poly, pair):
     """Forward residual of one eigenpair, normalized by eigenvalue growth."""
     lam, z = pair.eigenvalue, pair.vector
-    return float(np.linalg.norm(poly.evaluate(lam) @ z)) / (1.0 + abs(lam)) ** poly.k
+    return float(np.linalg.norm(evaluate(poly, lam) @ z)) / (1.0 + abs(lam)) ** poly.k
 
 
 def gated_pairs(gen, pairs, tol=1e-9):
@@ -119,7 +127,16 @@ def random_real_form(n, m, seed):
     E = np.diag(rng.uniform(-2, 2, m))
     E[1, 1] = E[0, 0]
     E[0, 1], E[1, 0] = 0.7, -0.7
-    return RealEigenpairs.from_matrices(rng.standard_normal((n, m)), E)
+    return RealEigenpairs(n=n, m=m, t=1, X=rng.standard_normal((n, m)), E=E)
+
+
+def pattern(basis):
+    """The n^2-by-r matrix P with vec(A) = P @ coords, vec stacking columns:
+    P[rows + n*cols, index] = values, the layout in which the custom-basis
+    SVD and least squares of the package read it."""
+    P = np.zeros((basis.n * basis.n, basis.r))
+    P[basis.rows + basis.n * basis.cols, basis.index] = basis.values
+    return P
 
 
 def row_basis(rows):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import eigenpoly
-from conftest import FIXTURES, MIN_ORDER, run_cli
+from conftest import FIXTURES, MIN_ORDER, pattern, run_cli
 from eigenpoly import cli
 from eigenpoly.jsonio import dumps, polynomial_to_obj
 from eigenpoly.structures import BUILTIN_KINDS, build_basis
@@ -258,10 +258,16 @@ def test_generate_reference_problems_round_trip(tmp_path):
         assert res.out == open(data_path).read()
 
 
-def test_generate_rejects_ground_truth_without_generator():
-    res = run_cli("generate", "example1", "--ground-truth", "/tmp/never_written.json")
+def test_generate_rejects_ground_truth_without_generator(tmp_path):
+    truth, out = tmp_path / "truth.json", tmp_path / "out.json"
+    res = run_cli("generate", "example1", "--ground-truth", str(truth))
     assert res.code == 1
     assert "no generator polynomial" in res.err
+    assert res.out == ""
+    res = run_cli("generate", "example1", "--ground-truth", str(truth), "--output", str(out))
+    assert res.code == 1
+    assert "no generator polynomial" in res.err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_generate_random_is_deterministic(tmp_path):
@@ -356,11 +362,11 @@ def test_basis_summary_and_pattern_dump():
             dump = run_cli("basis", kind, "--n", str(n), "--print-p")
             rows = dump.out.splitlines()
             start = rows.index("pattern (row col value):") + 1
-            pattern = np.zeros((n * n, basis.r))
+            dumped = np.zeros((n * n, basis.r))
             for line in rows[start:]:
                 i, j, v = line.split()
-                pattern[int(i), int(j)] = float(v)
-            np.testing.assert_array_equal(pattern, basis.pattern)
+                dumped[int(i), int(j)] = float(v)
+            np.testing.assert_array_equal(dumped, pattern(basis))
 
 
 @pytest.mark.parametrize("kind", sorted(BUILTIN_KINDS))
@@ -368,8 +374,8 @@ def test_basis_pattern_dump_lists_the_pattern_row_by_row(kind):
     for n in (3, 5):
         if n < MIN_ORDER[kind]:
             continue
-        pattern = build_basis(kind, n).pattern
-        expected = [f"{i} {j} {pattern[i, j]:.17g}" for i, j in zip(*np.nonzero(pattern))]
+        P = pattern(build_basis(kind, n))
+        expected = [f"{i} {j} {P[i, j]:.17g}" for i, j in zip(*np.nonzero(P))]
         out = run_cli("basis", kind, "--n", str(n), "--print-p").out.splitlines()
         assert out[out.index("pattern (row col value):") + 1 :] == expected
 

@@ -1,11 +1,11 @@
-"""Real-form eigendata: encoding, decoding, validation."""
+"""Real-form eigendata: encoding and validation."""
 
 import numpy as np
 import pytest
 
-from conftest import reference_eigendata, reference_json
+from conftest import evaluate, reference_eigendata, reference_json
 from eigenpoly import fixtures
-from eigenpoly.eigendata import Eigenpair, RealEigenpairs, decode, encode
+from eigenpoly.eigendata import Eigenpair, RealEigenpairs, encode
 from eigenpoly.structures import build_basis, realize
 from eigenpoly.verify import random_polynomial
 
@@ -14,9 +14,12 @@ def test_encode_reference_problem_one_reproduces_real_form():
     ep = encode(fixtures.example1_eigenpairs(), 3)
     pair, real = reference_json("example1_eigendata.json")["eigenpairs"]
     a, b, c = pair["lambda"]["re"], pair["lambda"]["im"], real["lambda"]["re"]
-    ref = RealEigenpairs.from_matrices(
-        np.column_stack([pair["vector"]["re"], pair["vector"]["im"], real["vector"]["re"]]),
-        np.array([[a, b, 0.0], [-b, a, 0.0], [0.0, 0.0, c]]),
+    ref = RealEigenpairs(
+        n=3,
+        m=3,
+        t=1,
+        X=np.column_stack([pair["vector"]["re"], pair["vector"]["im"], real["vector"]["re"]]),
+        E=np.array([[a, b, 0.0], [-b, a, 0.0], [0.0, 0.0, c]]),
     )
     np.testing.assert_array_equal(ep.X, ref.X)
     np.testing.assert_array_equal(ep.E, ref.E)
@@ -59,7 +62,7 @@ def test_complex_pairs_are_listed_before_real_pairs():
     np.testing.assert_allclose(ep.E[2, 2], -1.5)
 
 
-def test_decode_round_trip_mixed_spectrum():
+def test_encode_layout_mixed_spectrum():
     rng = np.random.default_rng(3)
     pairs = [
         Eigenpair(1.0 + 2.0j, rng.standard_normal(4) + 1j * rng.standard_normal(4)),
@@ -67,11 +70,16 @@ def test_decode_round_trip_mixed_spectrum():
         Eigenpair(3.25 + 0j, rng.standard_normal(4) + 0j),
         Eigenpair(3.25 + 0j, rng.standard_normal(4) + 0j),  # repeated real value is fine
     ]
-    back = decode(encode(pairs, 4))
-    assert len(back) == len(pairs)
-    for orig, got in zip(pairs, back):
-        assert abs(orig.eigenvalue - got.eigenvalue) <= 1e-14 * max(1, abs(orig.eigenvalue))
-        np.testing.assert_allclose(got.vector, orig.vector, rtol=0, atol=1e-14)
+    ep = encode(pairs, 4)
+    assert (ep.n, ep.m, ep.t) == (4, 6, 2)
+    E = np.zeros((6, 6))
+    for j, p in enumerate(pairs[:2]):
+        a, b = p.eigenvalue.real, p.eigenvalue.imag
+        E[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = [[a, b], [-b, a]]
+    E[4, 4] = E[5, 5] = 3.25
+    np.testing.assert_array_equal(ep.E, E)
+    X = [pairs[0].vector.real, pairs[0].vector.imag, pairs[1].vector.real, pairs[1].vector.imag]
+    np.testing.assert_array_equal(ep.X, np.column_stack(X + [pairs[2].vector.real, pairs[3].vector.real]))
 
 
 def test_conjugate_member_encodings_are_sign_equivalent():
@@ -118,20 +126,20 @@ def test_eigenpair_rejects_bad_vectors_eagerly():
         Eigenpair(complex(np.inf, 0.0), np.ones(2))
 
 
-def test_from_matrices_validates_block_structure():
+def test_constructor_validates_block_structure():
     X = np.eye(2)
-    good = RealEigenpairs.from_matrices(X, np.array([[1.0, 2.0], [-2.0, 1.0]]))
+    good = RealEigenpairs(n=2, m=2, t=1, X=X, E=np.array([[1.0, 2.0], [-2.0, 1.0]]))
     assert good.t == 1
     with pytest.raises(ValueError, match=r"\[\[a, b\], \[-b, a\]\]"):
-        RealEigenpairs.from_matrices(X, np.array([[1.0, 2.0], [-2.0, 5.0]]))
+        RealEigenpairs(n=2, m=2, t=1, X=X, E=np.array([[1.0, 2.0], [-2.0, 5.0]]))
     with pytest.raises(ValueError, match="outside its diagonal blocks"):
-        RealEigenpairs.from_matrices(
-            np.eye(3), np.array([[1.0, 2.0, 0.0], [-2.0, 1.0, 0.0], [0.5, 0.0, 3.0]])
+        RealEigenpairs(
+            n=3, m=3, t=1, X=np.eye(3), E=np.array([[1.0, 2.0, 0.0], [-2.0, 1.0, 0.0], [0.5, 0.0, 3.0]])
         )
     with pytest.raises(ValueError, match="finite entries"):
-        RealEigenpairs.from_matrices(X, np.array([[np.nan, 0.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError, match="columns but E is"):
-        RealEigenpairs.from_matrices(np.eye(3), np.eye(2))
+        RealEigenpairs(n=2, m=2, t=0, X=X, E=np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match=r"X must be 3x2, got shape \(3, 3\)"):
+        RealEigenpairs(n=3, m=2, t=0, X=np.eye(3), E=np.eye(2))
 
 
 def test_arrays_are_frozen():
@@ -163,7 +171,7 @@ def test_complex_pair_columns_split_polynomial_action():
     for i, coeff in enumerate(poly.dense_coefficients()):
         relation = relation + coeff @ ep.X @ powers[i]
 
-    action = poly.evaluate(lam) @ z  # complex n-vector
+    action = evaluate(poly, lam) @ z  # complex n-vector
     np.testing.assert_allclose(relation[:, 0], action.real, atol=1e-12)
     np.testing.assert_allclose(relation[:, 1], action.imag, atol=1e-12)
 
@@ -177,7 +185,7 @@ def test_real_pair_column_is_polynomial_action():
     relation = ep.X @ ep.E @ ep.E
     for i, coeff in enumerate(poly.dense_coefficients()):
         relation = relation + coeff @ ep.X @ np.linalg.matrix_power(ep.E, i)
-    np.testing.assert_allclose(relation[:, 0], poly.evaluate(lam) @ z, atol=1e-12)
+    np.testing.assert_allclose(relation[:, 0], evaluate(poly, lam) @ z, atol=1e-12)
 
 
 def test_realize_helper_consistency():

@@ -1,6 +1,7 @@
 """Linear system assembly, classification, solving, monic reduction."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from conftest import (
     dense_oracle,
     gated_pairs,
     max_entry_gap,
+    pattern,
     random_instance,
     random_real_form,
     reference_eigendata,
@@ -28,7 +30,7 @@ from eigenpoly.solver import (
     monicize,
     solve,
 )
-from eigenpoly.structures import BUILTIN_KINDS, build_basis, coords_of, load_custom_basis, realize, vec
+from eigenpoly.structures import BUILTIN_KINDS, build_basis, coords_of, load_custom_basis, realize
 from eigenpoly.verify import choose_eigenpairs, companion_eigs, residual
 
 
@@ -42,7 +44,7 @@ def kronecker_system(ep, basis, k):
     for _ in range(k):
         powers.append(powers[-1] @ ep.E)
     eye = np.eye(ep.n)
-    U = np.hstack([np.kron((ep.X @ powers[i]).T, eye) @ basis.pattern for i in range(k - 1, -1, -1)])
+    U = np.hstack([np.kron((ep.X @ powers[i]).T, eye) @ pattern(basis) for i in range(k - 1, -1, -1)])
     return U, -(ep.X @ powers[k]).reshape(-1, order="F")
 
 
@@ -70,7 +72,7 @@ def test_scatter_assembly_with_overlapping_custom_supports():
 
 
 def test_assemble_rejects_overflowing_powers():
-    ep = RealEigenpairs.from_matrices(np.ones((2, 1)), np.array([[1e150]]))
+    ep = RealEigenpairs(n=2, m=1, t=0, X=np.ones((2, 1)), E=np.array([[1e150]]))
     assemble(ep, build_basis("diagonal", 2), 1)  # X E^1 and its norm are finite
     with pytest.raises(ValueError, match="overflows for degree k = 2"):
         assemble(ep, build_basis("diagonal", 2), 2)
@@ -132,7 +134,7 @@ def test_block_columns_encode_coefficient_action(kind, n, k):
         powers.append(powers[-1] @ ep.E)
     for j in range(1, k + 1):
         block = system.U[:, (j - 1) * basis.r : j * basis.r]
-        direct = vec(realize(basis, c).dense @ ep.X @ powers[k - j])
+        direct = (realize(basis, c).dense @ ep.X @ powers[k - j]).reshape(-1, order="F")
         np.testing.assert_allclose(block @ c, direct, atol=1e-12 * max(1, np.max(np.abs(direct))))
 
 
@@ -401,7 +403,7 @@ def oracle_systems(kind, n=5):
             ep = encode(chosen, n)
             yield assemble(ep, basis, k)
         rng = np.random.default_rng(k)
-        noisy = RealEigenpairs.from_matrices(ep.X + 1e-3 * rng.standard_normal(ep.X.shape), ep.E)
+        noisy = replace(ep, X=ep.X + 1e-3 * rng.standard_normal(ep.X.shape))
         yield assemble(noisy, basis, k)
 
 
@@ -431,7 +433,7 @@ def test_block_rank_uses_the_global_cutoff():
     rng = np.random.default_rng(51)
     X = rng.standard_normal((4, 6))
     X[2] *= 1e-17
-    ep = RealEigenpairs.from_matrices(X, np.diag(rng.uniform(-2, 2, 6)))
+    ep = RealEigenpairs(n=4, m=6, t=0, X=X, E=np.diag(rng.uniform(-2, 2, 6)))
     system = assemble(ep, build_basis("diagonal", 4), 2, allow_overdetermined=True)
     family = analyze(system)
     assert_matches_dense_oracle(system, family)
@@ -622,7 +624,7 @@ def test_refused_sweep_is_the_block_svd_bit_for_bit(scale, monkeypatch):
     ep = random_real_form(n, m, seed=500)
     X = ep.X.copy()
     X[17] *= scale
-    system = assemble(RealEigenpairs.from_matrices(X, ep.E), build_basis("symmetric_tridiagonal", n), k)
+    system = assemble(replace(ep, X=X), build_basis("symmetric_tridiagonal", n), k)
     assert system.plan is not None
     calls = []
     svd = np.linalg.svd

@@ -5,17 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MIN_ORDER, assert_matches_dense_oracle, random_real_form, row_basis
+from conftest import MIN_ORDER, assert_matches_dense_oracle, pattern, random_real_form, row_basis
 from eigenpoly.solver import analyze, assemble
 from eigenpoly.structures import (
     BUILTIN_KINDS,
+    StructureBasis,
     StructureMembershipError,
     build_basis,
     builtin_dimension,
     coords_of,
     load_custom_basis,
     realize,
-    vec,
 )
 
 DIMENSION_FORMULAS = {
@@ -62,12 +62,6 @@ def dense_basis(kind, n):
 SAMPLE = np.array([[4.0, 2.0, 8.0], [2.0, 7.0, 9.0], [8.0, 9.0, 5.0]])
 
 
-def test_vec_is_column_major():
-    np.testing.assert_array_equal(vec(SAMPLE), [4, 2, 8, 2, 7, 9, 8, 9, 5])
-    np.testing.assert_array_equal(vec(np.eye(2)), [1, 0, 0, 1])
-    assert vec(np.zeros((2, 3))).shape == (6,)
-
-
 def test_symmetric_pattern_matrix_frozen():
     # upper triangle walked column by column: (1,1),(1,2),(2,2),(1,3),(2,3),(3,3)
     expected = np.array(
@@ -85,7 +79,7 @@ def test_symmetric_pattern_matrix_frozen():
         dtype=float,
     )
     basis = build_basis("symmetric", 3)
-    np.testing.assert_array_equal(basis.pattern, expected)
+    np.testing.assert_array_equal(pattern(basis), expected)
 
 
 def test_symmetric_coordinates_of_sample():
@@ -113,18 +107,18 @@ def test_dimension_table(kind):
         assert r == formula(n)
         basis = build_basis(kind, n)
         assert basis.r == r
-        assert basis.pattern.shape == (n * n, r)
+        assert np.unique(basis.index).tolist() == list(range(r))
 
 
 @pytest.mark.parametrize("kind", sorted(BUILTIN_KINDS))
 def test_triplet_pattern_matches_dense_basis(kind):
     for n in range(MIN_ORDER[kind], 7):
         basis = build_basis(kind, n)
-        expected = np.column_stack([vec(m) for m in dense_basis(kind, n)])
-        np.testing.assert_array_equal(basis.pattern, expected)
+        expected = np.column_stack([m.reshape(-1, order="F") for m in dense_basis(kind, n)])
+        np.testing.assert_array_equal(pattern(basis), expected)
         positions = set(zip(basis.rows, basis.cols, basis.index))
         assert len(positions) == basis.rows.size  # no position listed twice
-        for a in (basis.rows, basis.cols, basis.index, basis.values, basis.pattern):
+        for a in (basis.rows, basis.cols, basis.index, basis.values):
             assert not a.flags.writeable
 
 
@@ -133,7 +127,7 @@ def test_custom_basis_triplets_are_its_nonzeros():
     mats = [rng.standard_normal((3, 3)) * (rng.uniform(size=(3, 3)) < 0.6) for _ in range(4)]
     basis = load_custom_basis(mats)
     assert basis.rows.size == sum(np.count_nonzero(m) for m in mats)
-    np.testing.assert_array_equal(basis.pattern, np.column_stack([vec(m) for m in mats]))
+    np.testing.assert_array_equal(pattern(basis), np.column_stack([m.reshape(-1, order="F") for m in mats]))
     coords = rng.standard_normal(4)
     expected = sum(c * m for c, m in zip(coords, mats))
     np.testing.assert_allclose(realize(basis, coords).dense, expected, rtol=1e-14, atol=1e-14)
@@ -147,7 +141,7 @@ def test_load_custom_basis_rejects_non_finite():
 @pytest.mark.parametrize("kind", sorted(BUILTIN_KINDS))
 def test_pattern_columns_are_orthogonal(kind):
     basis = build_basis(kind, max(MIN_ORDER[kind], 4))
-    gram = basis.pattern.T @ basis.pattern
+    gram = pattern(basis).T @ pattern(basis)
     off = gram - np.diag(np.diag(gram))
     assert np.all(np.diag(gram) > 0)
     np.testing.assert_array_equal(off, np.zeros_like(off))
@@ -269,7 +263,7 @@ def test_custom_basis_with_unequal_rows_keeps_one_copy_per_row(last):
 def test_builtin_coords_match_least_squares(kind):
     basis = build_basis(kind, max(MIN_ORDER[kind], 5))
     a = realize(basis, np.random.default_rng(12).uniform(-3, 3, basis.r)).dense
-    expected = np.linalg.lstsq(basis.pattern, vec(a), rcond=None)[0]
+    expected = np.linalg.lstsq(pattern(basis), a.reshape(-1, order="F"), rcond=None)[0]
     np.testing.assert_allclose(coords_of(basis, a), expected, rtol=0, atol=1e-14 * np.abs(expected).max())
 
 
@@ -284,7 +278,7 @@ def test_realize_coords_round_trip(kind):
     back = coords_of(basis, mat.dense)
     np.testing.assert_allclose(back, coords, rtol=1e-12, atol=1e-14)
     # vec identity: stacking the matrix equals the pattern acting on coords
-    np.testing.assert_allclose(vec(mat.dense), basis.pattern @ coords, atol=1e-14)
+    np.testing.assert_allclose(mat.dense.reshape(-1, order="F"), pattern(basis) @ coords, atol=1e-14)
 
 
 def test_identity_coordinates_in_symmetric_basis():
@@ -385,6 +379,74 @@ def test_load_custom_basis_rejects_empty_and_misshapen():
         load_custom_basis([np.eye(2), np.eye(3)])
     with pytest.raises(ValueError):
         load_custom_basis([np.zeros((2, 3))])
+
+
+@pytest.mark.parametrize(
+    "mats, idx, shape",
+    [
+        ([np.ones(3)], 0, (3,)),
+        ([np.float64(1.0)], 0, ()),
+        ([np.zeros((2, 3))], 0, (2, 3)),
+        ([np.eye(2), np.zeros((2, 2, 2))], 1, (2, 2, 2)),
+        ([np.zeros((0, 0))], 0, (0, 0)),
+    ],
+)
+def test_load_custom_basis_names_the_square_matrix_requirement(mats, idx, shape):
+    message = f"basis matrix {idx} is not a nonempty square 2-D matrix, got shape {shape}"
+    with pytest.raises(ValueError) as err:
+        load_custom_basis(mats)
+    assert str(err.value) == message
+
+
+def random_custom_bases(count=600):
+    """Seeded sparse custom bases at n = 1..5, every third one nearly
+    dependent: its last matrix is a combination of the others plus noise
+    of size 1e-8 to 1e-16.  Masked negative draws leave -0.0 entries."""
+    for seed in range(count):
+        rng = np.random.default_rng(seed)
+        n = 1 + seed % 5
+        r = int(rng.integers(1, n * n + 1))
+        mats = [rng.standard_normal((n, n)) * (rng.uniform(size=(n, n)) < 0.6) for _ in range(r)]
+        near = seed % 3 == 0 and r >= 2
+        if near:
+            noise = 10.0 ** -float(rng.integers(8, 17)) * rng.standard_normal((n, n))
+            mats[-1] = sum(c * m for c, m in zip(rng.standard_normal(r - 1), mats[:-1])) + noise
+        yield rng, near, mats
+
+
+def oracle_rank(mats):
+    """The triplets of the matrices and the rank of their pattern matrix,
+    under the cutoff eps * max(n^2, r) * sigma_max."""
+    stack = np.stack(mats)
+    index, rows, cols = np.nonzero(stack)
+    basis = StructureBasis("custom", stack.shape[1], len(mats), rows, cols, index, stack[index, rows, cols])
+    P = pattern(basis)
+    sv = np.linalg.svd(P, compute_uv=False)
+    return basis, int(np.count_nonzero(sv > np.finfo(float).eps * max(P.shape) * sv[0]))
+
+
+def test_custom_basis_verdicts_and_coordinates_match_the_pattern_oracle():
+    verdicts = set()
+    for rng, near, mats in random_custom_bases():
+        expected, rank = oracle_rank(mats)
+        verdicts.add((near, rank == len(mats)))
+        if rank < len(mats):
+            with pytest.raises(ValueError) as err:
+                load_custom_basis(mats)
+            assert str(err.value) == f"custom basis matrices are linearly dependent, rank {rank} < {len(mats)}"
+            continue
+        basis = load_custom_basis(mats)
+        for name in ("rows", "cols", "index", "values"):
+            assert getattr(basis, name).tobytes() == getattr(expected, name).tobytes()
+        member = realize(basis, rng.uniform(-3, 3, basis.r)).dense
+        for a in (member, rng.standard_normal((basis.n, basis.n))):
+            coords = np.linalg.lstsq(pattern(basis), a.reshape(-1, order="F"), rcond=None)[0]
+            if np.linalg.norm(realize(basis, coords).dense - a) > 1e-10 * max(1.0, np.linalg.norm(a)):
+                with pytest.raises(StructureMembershipError):
+                    coords_of(basis, a)
+            else:
+                assert coords_of(basis, a).tobytes() == coords.tobytes()
+    assert {(False, True), (True, True), (True, False)} <= verdicts
 
 
 def test_realize_rejects_wrong_length():
