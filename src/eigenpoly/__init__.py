@@ -3,9 +3,10 @@ prescribed eigenpairs, and verify the results independently.
 
 The core pipeline is encode -> assemble -> analyze -> realize: eigenpairs
 are packed into real form, the structure constraint turns the defining
-relation into one linear system over coordinate vectors, and the SVD of
-that system answers existence and uniqueness while providing the
-minimal-norm solution and the full solution family.
+relation into one linear system over coordinate vectors, and its
+factorization (one SVD per block, or a certified QR sweep of a tall chain
+block) answers existence and uniqueness while providing the minimal-norm
+solution and the full solution family.
 """
 
 from .eigendata import Eigenpair, RealEigenpairs, encode

@@ -37,16 +37,19 @@ __all__ = [
 
 
 def _format(value) -> str:
+    """The JSON text of a value that ``_is_scalar`` accepts."""
+    if value is None:
+        return "null"
+    if isinstance(value, str):
+        return json.dumps(value)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        value = float(value)
-        if not math.isfinite(value):
-            raise ValueError(f"cannot serialize non-finite number {value!r}")
-        return f"{value:.17g}"
-    raise TypeError(f"cannot serialize value of type {type(value).__name__}")
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"cannot serialize non-finite number {value!r}")
+    return f"{value:.17g}"
 
 
 def _is_scalar(v) -> bool:
@@ -55,11 +58,7 @@ def _is_scalar(v) -> bool:
 
 def _write(obj, indent: int, parts: list) -> None:
     pad = "  " * indent
-    if obj is None:
-        parts.append("null")
-    elif isinstance(obj, str):
-        parts.append(json.dumps(obj))
-    elif _is_scalar(obj):
+    if _is_scalar(obj):
         parts.append(_format(obj))
     elif isinstance(obj, dict):
         if not obj:
@@ -76,7 +75,7 @@ def _write(obj, indent: int, parts: list) -> None:
         if not items:
             parts.append("[]")
         elif all(_is_scalar(v) for v in items):
-            parts.append("[" + ", ".join(_format(v) if not isinstance(v, str) else json.dumps(v) for v in items) + "]")
+            parts.append("[" + ", ".join(map(_format, items)) + "]")
         else:
             parts.append("[\n")
             for pos, value in enumerate(items):

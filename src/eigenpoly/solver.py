@@ -38,8 +38,9 @@ rank of U.  A solution exists iff U U^+ b = b, and it is unique iff U has
 full column rank.  The general solution is x = U^+ b + (I - V_r^T V_r) y
 with y free, where the rows of V_r span the row space of U;
 ``SolutionFamily.project`` applies the projector block by block, all
-copies of a block at once.  A tall chain block is first tried by the
-certified QR sweep of ``sweep``, which needs no SVD.
+copies of a block at once.  ``analyze`` alone chooses how U is factored: a
+tall chain block is first tried by the certified QR sweep of ``sweep``,
+which needs no SVD.
 """
 
 from __future__ import annotations
@@ -104,22 +105,19 @@ class AssembledSystem:
     ``blocks`` lists one (rows, cols, U_j) triple per distinct block of the
     basis.  ``rows`` has shape (copies, m*|P_j|) and ``cols`` shape
     (copies, k*|C_j|), and U_j = U[np.ix_(rows[i], cols[i])] for every
-    copy i; U is zero outside its blocks.  ``plan`` is the QR sweep that
-    ``analyze`` tries before the SVD (see ``assemble``), or None.
+    copy i; U is zero outside its blocks.  ``basis`` is the structure
+    basis the system was built from, at degree ``k``.
     """
 
     blocks: tuple = field(repr=False)
     b: np.ndarray = field(repr=False)
-    k: int = 0
-    r: int = 0
-    m: int = 0
-    n: int = 0
-    plan: tuple | None = field(default=None, repr=False)
+    k: int
+    basis: StructureBasis = field(repr=False)
 
     @property
     def U(self) -> np.ndarray:
         """The dense (m*n)-by-(k*r) matrix, built from the blocks on each read."""
-        U = np.zeros((self.m * self.n, self.k * self.r))
+        U = np.zeros((self.b.size, self.k * self.basis.r))
         for rows, cols, Uj in self.blocks:
             for R, C in zip(rows, cols):
                 U[np.ix_(R, C)] = Uj
@@ -269,11 +267,7 @@ def assemble(
     -------
     AssembledSystem
         With one block of shape (m*|P_j|, k*|C_j|) per distinct block
-        (P_j, C_j) of the basis, and b of length m*n.  ``plan`` holds the
-        basis's QR sweep at degree k (``sweep.plan_for``) when the system is
-        one block with one copy, with at least as many rows as columns and
-        at least SWEEP_MIN_COLS columns, and no front of the sweep is too
-        wide; it is None otherwise.
+        (P_j, C_j) of the basis, and b of length m*n.
     """
     if k < 1:
         raise ValueError(f"polynomial degree must be at least 1, got k = {k}")
@@ -300,13 +294,7 @@ def assemble(
         )
         for (P, C), lo, sz in zip(basis.blocks, start, size)
     )
-    plan = None
-    height, width = blocks[0][2].shape
-    if len(blocks) == 1 and len(blocks[0][0]) == 1 and height >= width >= SWEEP_MIN_COLS:
-        from . import sweep  # loaded only where it can run: loading costs time and memory
-
-        plan = sweep.plan_for(basis, k)
-    return AssembledSystem(blocks=blocks, b=b, k=k, r=r, m=m, n=n, plan=plan)
+    return AssembledSystem(blocks=blocks, b=b, k=k, basis=basis)
 
 
 def analyze(system: AssembledSystem, tol: ToleranceConfig = ToleranceConfig()) -> SolutionFamily:
@@ -324,21 +312,17 @@ def analyze(system: AssembledSystem, tol: ToleranceConfig = ToleranceConfig()) -
     block holds still count.  The solution is unique iff rank(U) equals the
     number of unknowns k*r.
 
-    When ``assemble`` attached a sweep plan, the QR sweep of
-    ``sweep.solve`` runs first.  If it certifies full column rank under the
-    same cutoff rule, its least-squares solution is x0 and the block keeps
-    no V_j (``project`` returns zeros there); else the SVD above runs
+    A system of one block with one copy, at least as many rows as columns
+    and at least SWEEP_MIN_COLS columns is first tried by the QR sweep of
+    ``sweep.solve``.  If it certifies full column rank under the same
+    cutoff rule, its least-squares solution is x0 and the block keeps no
+    V_j (``project`` returns zeros there); else the SVD above runs
     unchanged, so every uncertified result is the one the SVD gives.
     """
     b = system.b
-    cols = system.k * system.r
-    x = None
-    if system.plan is not None:
-        from . import sweep
-
-        ((R, _, Uj),) = system.blocks
-        x = sweep.solve(Uj, b[R[0]], system.m, system.plan, tol.rank_cutoff(system.m * system.n, cols))
-    solved = _by_svd(system, tol) if x is None else [(x[:, None], None)]
+    cols = system.k * system.basis.r
+    factor = tol.rank_cutoff(b.size, cols)
+    solved = _by_sweep(system, factor) or _by_svd(system, factor)
     x0 = np.zeros(cols)
     misfit = -b
     factors = []
@@ -360,11 +344,25 @@ def analyze(system: AssembledSystem, tol: ToleranceConfig = ToleranceConfig()) -
     )
 
 
-def _by_svd(system: AssembledSystem, tol: ToleranceConfig) -> list:
+def _by_sweep(system: AssembledSystem, factor: float) -> list | None:
+    """[(x, None)] when the one block of a tall system is certified by the
+    QR sweep, else None; ``factor`` is the rank cutoff on sigma_max(U)."""
+    (R, _, Uj), *others = system.blocks
+    height, width = Uj.shape
+    if others or len(R) > 1 or not height >= width >= SWEEP_MIN_COLS:
+        return None
+    from . import sweep  # loaded only where it can run: loading costs time and memory
+
+    x = sweep.solve(Uj, system.b[R[0]], system.b.size // system.basis.n, system.basis, system.k, factor)
+    return None if x is None else [(x[:, None], None)]
+
+
+def _by_svd(system: AssembledSystem, factor: float) -> list:
     """(x_j, V_j) per distinct block from one SVD each: the minimal-norm
-    solutions of its copies, one column per copy, and its kept rows of V^T."""
+    solutions of its copies, one column per copy, and its kept rows of V^T;
+    ``factor`` is the rank cutoff on max_j sigma_max(U_j)."""
     svds = [np.linalg.svd(Uj, full_matrices=False) for _, _, Uj in system.blocks]
-    cutoff = tol.rank_cutoff(system.m * system.n, system.k * system.r) * max(sigma[0] for _, sigma, _ in svds)
+    cutoff = factor * max(sigma[0] for _, sigma, _ in svds)
     solved = []
     for (R, _, _), (W, sigma, Vt) in zip(system.blocks, svds):
         rj = int(np.count_nonzero(sigma > cutoff))

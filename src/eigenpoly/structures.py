@@ -5,8 +5,8 @@ basis S_1, ..., S_r; a member is A = sum_l alpha_l * S_l.  A basis is held
 as triplet arrays (rows, cols, index, values): S_{index[t]} has values[t]
 at (rows[t], cols[t]).  Built-in kinds generate them from index rules,
 custom bases from the nonzeros of their matrices.  Realizing a member,
-extracting the coordinates of a built-in member and assembling the
-solver's system work on the triplets, so the cost grows with the nonzeros,
+extracting the coordinates of a built-in member and assembling the linear
+system U x = b work on the triplets, so the cost grows with the nonzeros,
 not with n^2 * r.  The triplets are the only stored form of a basis.
 
 Built-in kinds have {-1, 0, 1} basis matrices with disjoint supports.
@@ -17,11 +17,11 @@ rule read off the triplets.  When every S_l has its entries in a single row
 of A, as for full, diagonal, tridiagonal and pentadiagonal, each row with
 entries is a block holding the coordinates that live in it; otherwise one
 block holds every row with entries and all coordinates.  A coordinate acts
-on the rows of its own block only, which makes the solver's system block
-diagonal.  Equal blocks are listed once, with their copies: when every row
-block has the same size and the same (place of l in the block, column,
+on the rows of its own block only, which makes U block diagonal after a
+permutation.  Equal blocks are listed once, with their copies: when every
+row block has the same size and the same (place of l in the block, column,
 value) triplets, as for full at n >= 2, the rows form one block with one
-copy per row, so the solver builds and factorizes it once.
+copy per row, so that U_j is built and factorized once.
 """
 
 from __future__ import annotations
@@ -77,12 +77,6 @@ class StructureBasis:
     cols: np.ndarray = field(repr=False)
     index: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
-
-    @cached_property
-    def plans(self) -> dict:
-        """The solver's QR sweep plans of this basis, by degree k, filled
-        on first use (see ``solver.assemble``)."""
-        return {}
 
     @cached_property
     def blocks(self) -> tuple:

@@ -20,14 +20,18 @@ and Discrete Ill-Posed Problems*, SIAM 1998): the SVD would keep every
 column too.  Otherwise the caller takes the SVD.
 
 When to try is a fixed rule on the system's shape and the plan, with no
-option: ``solver.assemble`` asks for a plan only for one block with one
+option: ``solver.analyze`` calls ``solve`` only for one block with one
 copy, at least as many rows as columns and at least
-``solver.SWEEP_MIN_COLS`` columns, and ``plan_for`` returns None when a
-front would hold more than FRONT of the columns.  Both figures come from
-timing the sweep against the SVD (see the README).
+``solver.SWEEP_MIN_COLS`` columns, and ``solve`` refuses when a front of
+the plan would hold more than FRONT of the columns.  Both figures come
+from timing the sweep against the SVD (see the README).  The plan of a
+basis at degree k is built on first use and kept here for as long as the
+basis lives.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -39,25 +43,25 @@ SOLVE_ROWS = 16
 # the clear-gap rule the block-oracle tests apply to the SVD
 CLEAR_GAP = 1e3
 
-
-def plan_for(basis, k: int) -> tuple | None:
-    """The sweep plan of the one block of ``basis`` at degree k, or None
-    when a front is too wide.  Built once per basis and degree and cached
-    in ``basis.plans``."""
-    if k not in basis.plans:
-        basis.plans[k] = _plan(basis, k)
-    return basis.plans[k]
+# basis -> {k: plan or None}
+_plans = weakref.WeakKeyDictionary()
 
 
-def solve(U: np.ndarray, b: np.ndarray, m: int, plan: tuple, rank_cutoff: float) -> np.ndarray | None:
+def solve(U: np.ndarray, b: np.ndarray, m: int, basis, k: int, rank_cutoff: float) -> np.ndarray | None:
     """The least-squares solution of U x = b when the sweep certifies that U
     has full column rank, else None.
 
-    U has m rows per row of A (rows c*|P| + p), and ``rank_cutoff`` is the
-    factor on sigma_max(U) at or below which the SVD counts a singular
-    value as zero (``ToleranceConfig.rank_cutoff``).
+    U is the one block of ``basis`` at degree k, with m rows per row of A
+    (rows c*|P| + p), and ``rank_cutoff`` is the factor on sigma_max(U) at
+    or below which the SVD counts a singular value as zero
+    (``ToleranceConfig.rank_cutoff``).  None also when a front is too wide.
     """
-    steps, solves, elim = plan
+    plans = _plans.setdefault(basis, {})
+    if k not in plans:
+        plans[k] = _plan(basis, k)
+    if plans[k] is None:
+        return None
+    steps, solves, elim = plans[k]
     height, width = U.shape
     height //= m
     T = np.zeros((width, width + 1))  # [R | Q^T b], columns in the order they end

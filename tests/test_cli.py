@@ -255,7 +255,7 @@ def test_generate_reference_problems_round_trip(tmp_path):
     for kind, data_path in (("example1", EX1_DATA), ("example2", EX2_DATA)):
         res = run_cli("generate", kind)
         assert res.code == 0
-        assert res.out == open(data_path).read()
+        assert res.out == Path(data_path).read_text()
 
 
 def test_generate_rejects_ground_truth_without_generator(tmp_path):

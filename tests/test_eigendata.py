@@ -140,6 +140,12 @@ def test_constructor_validates_block_structure():
         RealEigenpairs(n=2, m=2, t=0, X=X, E=np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError, match=r"X must be 3x2, got shape \(3, 3\)"):
         RealEigenpairs(n=3, m=2, t=0, X=np.eye(3), E=np.eye(2))
+    with pytest.raises(ValueError, match=r"E must be 2x2, got shape \(3, 3\)"):
+        RealEigenpairs(n=2, m=2, t=0, X=X, E=np.eye(3))
+    with pytest.raises(ValueError, match="block count t = 2 does not fit m = 3"):
+        RealEigenpairs(n=2, m=3, t=2, X=np.ones((2, 3)), E=np.eye(3))
+    with pytest.raises(ValueError, match="block count t = -1 does not fit m = 2"):
+        RealEigenpairs(n=2, m=2, t=-1, X=X, E=np.eye(2))
 
 
 def test_arrays_are_frozen():

@@ -36,6 +36,12 @@ def test_dumps_is_deterministic_and_round_trips_floats():
     assert back["c"] == {"nested": True, "x": None}
 
 
+def test_dumps_writes_null_and_strings_inside_lists():
+    assert dumps([None, 1.0]) == "[null, 1]\n"
+    assert dumps({"a": [None], "b": ["x", None, True]}) == '{\n  "a": [null],\n  "b": ["x", null, true]\n}\n'
+    assert json.loads(dumps([[None, 'q"uote'], [np.int64(2), np.float64(0.5)]])) == [[None, 'q"uote'], [2, 0.5]]
+
+
 def test_dumps_rejects_non_finite_and_unknown_types():
     with pytest.raises(ValueError, match="non-finite"):
         dumps({"bad": float("nan")})

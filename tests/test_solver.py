@@ -19,7 +19,7 @@ from conftest import (
     reference_solution,
     row_basis,
 )
-from eigenpoly import fixtures
+from eigenpoly import fixtures, sweep
 from eigenpoly.eigendata import Eigenpair, RealEigenpairs, encode
 from eigenpoly.solver import (
     MonicPolynomial,
@@ -549,6 +549,29 @@ def certified(family):
     return all(V is None for _, V in family.factors)
 
 
+@pytest.fixture
+def tries(monkeypatch):
+    """The result of each call analyze makes to ``sweep.solve``: the
+    certified solution, or None for a refusal."""
+    results = []
+    solve = sweep.solve
+
+    def spy(*args):
+        results.append(solve(*args))
+        return results[-1]
+
+    monkeypatch.setattr(sweep, "solve", spy)
+    return results
+
+
+def spy_on(monkeypatch, owner, name):
+    """Count the calls of owner.name; returns the list of calls."""
+    calls = []
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    return calls
+
+
 def spring_chain_data(basis, m, seed):
     """A consistent, unique chain problem: a damped spring-mass quadratic
     (stiffness and damping of fixed-fixed chains) in the
@@ -579,12 +602,12 @@ def shuffled_chain_basis(n, seed):
 
 
 @pytest.mark.parametrize("k,n", [(1, 50), (2, 25), (3, 17)])
-def test_sweep_matches_dense_svd_on_symmetric_tridiagonal(k, n):
+def test_sweep_matches_dense_svd_on_symmetric_tridiagonal(k, n, tries):
     basis = build_basis("symmetric_tridiagonal", n)
     for m in (-(-k * basis.r // n), 2 * k + 3):
         system = assemble(random_real_form(n, m, seed=300 + 10 * k + m), basis, k, allow_overdetermined=True)
-        assert system.plan is not None
         family = analyze(system)
+        assert tries.pop() is not None and not tries
         assert certified(family) and family.unique
         assert_matches_dense_oracle(system, family)
 
@@ -607,7 +630,7 @@ def test_sweep_follows_a_custom_chain_in_shuffled_order(k):
     basis = shuffled_chain_basis(n, seed=17 + k)
     for m in (-(-k * basis.r // n), 2 * k + 2):
         system = assemble(random_real_form(n, m, seed=400 + 10 * k + m), basis, k, allow_overdetermined=True)
-        steps = system.plan[0]
+        steps = sweep._plan(basis, k)[0]
         # the breadth-first order finds the chain: a step holds at most the
         # three coordinates of its row, times k
         assert max(front.size for _, front, *_ in steps) == 3 * k
@@ -617,7 +640,7 @@ def test_sweep_follows_a_custom_chain_in_shuffled_order(k):
 
 
 @pytest.mark.parametrize("scale", [1e-11, 1e-17])
-def test_refused_sweep_is_the_block_svd_bit_for_bit(scale, monkeypatch):
+def test_refused_sweep_is_the_block_svd_bit_for_bit(scale, monkeypatch, tries):
     # one row of X far below the others: at 1e-11 U keeps full rank but no
     # clear gap, at 1e-17 it loses rank; the certificate refuses both
     n, k, m = 40, 2, 6
@@ -625,12 +648,9 @@ def test_refused_sweep_is_the_block_svd_bit_for_bit(scale, monkeypatch):
     X = ep.X.copy()
     X[17] *= scale
     system = assemble(replace(ep, X=X), build_basis("symmetric_tridiagonal", n), k)
-    assert system.plan is not None
-    calls = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+    calls = spy_on(monkeypatch, np.linalg, "svd")
     family = analyze(system)
-    assert len(calls) == 1 and not certified(family)
+    assert tries == [None] and len(calls) == 1 and not certified(family)
     monkeypatch.undo()
     # one block holding every row and column in order: U_j is U itself
     rank, x0, _, _ = dense_oracle(system)
@@ -641,13 +661,36 @@ def test_refused_sweep_is_the_block_svd_bit_for_bit(scale, monkeypatch):
     assert (family.rank == k * (2 * n - 1)) == (scale == 1e-11)
 
 
+def test_sweep_refuses_a_front_with_fewer_rows_than_ending_columns(monkeypatch, tries):
+    # a symmetric chain plus the six coordinates e_0 e_j^T, j = 1..6, which
+    # all end at row 0 of A: the sweep reaches row 0 last, where 16 columns
+    # end but only 8 rows are left, so it refuses inside the sweep
+    n, k, m = 100, 2, 6
+    mats = []
+    for i, j in [(p, p) for p in range(n)] + [(p, p + 1) for p in range(n - 1)]:
+        a = np.zeros((n, n))
+        a[i, j] = a[j, i] = 1.0
+        mats.append(a)
+    for j in range(1, 7):
+        a = np.zeros((n, n))
+        a[0, j] = 1.0
+        mats.append(a)
+    system = assemble(random_real_form(n, m, seed=1), load_custom_basis(mats), k)
+    assert system.blocks[0][2].shape == (600, 410)
+    qr, bound = spy_on(monkeypatch, np.linalg, "qr"), spy_on(monkeypatch, sweep, "_norm_bound")
+    family = analyze(system)
+    # every step ran, and the certificate was never reached
+    assert tries == [None] and len(qr) == n and bound == []
+    rank, x0, _, _ = dense_oracle(system)
+    assert family.rank == rank == 402 and not certified(family)
+    assert np.array_equal(family.x0, x0)
+
+
 def test_certified_band_solve_takes_no_svd_and_keeps_no_square_factor(monkeypatch):
     # the band workload's size: n = 120, k = 2, m = 10, U is 1200 x 478
     basis = build_basis("symmetric_tridiagonal", 120)
     _, ep = spring_chain_data(basis, 10, seed=3)
-    calls = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+    calls = spy_on(monkeypatch, np.linalg, "svd")
     _, family = solve(ep, basis, 2)
     y = np.random.default_rng(5).standard_normal(478)
     member, again = solve(ep, basis, 2, y=y)
@@ -664,25 +707,28 @@ def test_certified_band_solve_takes_no_svd_and_keeps_no_square_factor(monkeypatc
 
 
 @pytest.mark.parametrize("kind,n", [("symmetric", 24), ("skew_symmetric", 24), ("hankel", 50), ("toeplitz", 50)])
-def test_wide_fronts_stay_with_the_svd(kind, n):
+def test_wide_fronts_stay_with_the_svd(kind, n, monkeypatch):
     # tall and wide enough for the sweep, but a row of A meets n of the
     # coordinates (n - 1 for skew_symmetric), and every anti-diagonal or
-    # diagonal meets many rows: the fronts hold half the columns or more
+    # diagonal meets many rows: the fronts hold half the columns or more,
+    # so the plan is refused before any step of the sweep
     basis = build_basis(kind, n)
+    qr = spy_on(monkeypatch, np.linalg, "qr")
     for k in (1, 2):
         m = -(-k * basis.r // n) + 1
         system = assemble(random_real_form(n, m, seed=600 + k), basis, k, allow_overdetermined=True)
-        assert system.blocks[0][2].shape[1] >= 96 and system.plan is None
+        assert system.blocks[0][2].shape[1] >= 96 and sweep._plan(basis, k) is None
         assert np.array_equal(analyze(system).x0, dense_oracle(system)[1])
+    assert qr == []
 
 
-def test_small_and_shared_blocks_build_no_plan():
+def test_small_and_shared_blocks_build_no_plan(tries):
     # the sizes of the roundtrip cycle's chain and of the dense workload
     cases = [("symmetric_tridiagonal", 8, 2, 8), ("hankel", 3, 4, 8), ("full", 24, 2, 40), ("tridiagonal", 40, 2, 10)]
     for kind, n, k, m in cases:
         basis = build_basis(kind, n)
-        system = assemble(random_real_form(n, m, seed=700), basis, k)
-        assert system.plan is None and basis.plans == {}
+        analyze(assemble(random_real_form(n, m, seed=700), basis, k))
+        assert tries == [] and basis not in sweep._plans
 
 
 @pytest.mark.parametrize("kind,n,m", [("tridiagonal", 2000, 20), ("pentadiagonal", 500, 100)])
@@ -702,15 +748,16 @@ def test_assemble_peak_stays_within_three_times_the_blocks(kind, n, m):
     assert peak <= 3 * held, f"peak {peak / 2**20:.2f} MiB for {held / 2**20:.2f} MiB of blocks"
 
 
-def test_example3_keeps_its_svd_ranks():
+def test_example3_keeps_its_svd_ranks(tries):
     # criterion 3's order-50 chain: the certificate refuses every tall
     # selection (no clear gap), so the ranks the README documents come from
     # the same block SVD as before
     basis = build_basis("symmetric_tridiagonal", 50)
     for m, expected in ((2, 47), (4, 86), (6, 190), (10, 198)):
         system = assemble(encode(fixtures.example3_eigenpairs(m), 50), basis, 2)
-        assert (system.plan is not None) == (m >= 4)
         family = analyze(system)
+        assert tries == ([None] if m >= 4 else [])
+        tries.clear()
         assert family.rank == expected and not certified(family)
         assert np.array_equal(family.x0, dense_oracle(system)[1])
 
