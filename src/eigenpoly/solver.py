@@ -353,7 +353,7 @@ def _by_sweep(system: AssembledSystem, factor: float) -> list | None:
         return None
     from . import sweep  # loaded only where it can run: loading costs time and memory
 
-    x = sweep.solve(Uj, system.b[R[0]], system.b.size // system.basis.n, system.basis, system.k, factor)
+    x = sweep.solve(Uj, system.b[R[0]], system.basis, system.k, factor)
     return None if x is None else [(x[:, None], None)]
 
 

@@ -2,13 +2,15 @@
 
 A block U_j whose columns each touch a narrow window of rows of A, as for
 a symmetric tridiagonal chain, is block-banded.  A QR sweep along the chain
-(George & Heath, LAA 34, 1980) factors it without an SVD.  The rows p of A
-are visited in turn; each step stacks the m rows of U_j at p, with b
-appended as a last column, under the rows carried from the step before,
-and QR-factors that small front.  The rows for the columns whose last row
-is p are final rows of [R | Q^T b], and the others are carried on.  R is
-banded, so block back-substitution gives R^{-1} and the least-squares
-solution R^{-1} Q^T b.
+(George & Heath, LAA 34, 1980) factors it without an SVD.  The columns
+are sorted by the step of their last row of A, ties by the step of their
+first, so the columns a step touches are one window of that order.  The
+rows p of A are visited in turn; each step stacks the m rows of U_j at p
+in its window, with b appended as a last column, under the rows carried
+from the step before, and QR-factors that small front.  The rows for the
+columns whose last row is p are final rows of [R | Q^T b], and the others
+are carried on.  R is banded, so block back-substitution gives R^{-1} and
+the least-squares solution R^{-1} Q^T b.
 
 The sweep answers only when it can certify full column rank.  With
 sigma_max(U_j) <= min(||U_j||_F, sqrt(||U_j||_1 ||U_j||_inf)) and
@@ -47,41 +49,49 @@ CLEAR_GAP = 1e3
 _plans = weakref.WeakKeyDictionary()
 
 
-def solve(U: np.ndarray, b: np.ndarray, m: int, basis, k: int, rank_cutoff: float) -> np.ndarray | None:
+def solve(U: np.ndarray, b: np.ndarray, basis, k: int, rank_cutoff: float) -> np.ndarray | None:
     """The least-squares solution of U x = b when the sweep certifies that U
     has full column rank, else None.
 
     U is the one block of ``basis`` at degree k, with m rows per row of A
     (rows c*|P| + p), and ``rank_cutoff`` is the factor on sigma_max(U) at
     or below which the SVD counts a singular value as zero
-    (``ToleranceConfig.rank_cutoff``).  None also when a front is too wide.
+    (``ToleranceConfig.rank_cutoff``).  None also when a front is too wide
+    or a step would have fewer rows than columns ending there.
     """
     plans = _plans.setdefault(basis, {})
     if k not in plans:
         plans[k] = _plan(basis, k)
     if plans[k] is None:
         return None
-    steps, solves, elim = plans[k]
-    height, width = U.shape
-    height //= m
-    T = np.zeros((width, width + 1))  # [R | Q^T b], columns in the order they end
+    order, lo, ends, hi, elim = plans[k]
+    height, width = len(order), U.shape[1]
+    m = len(U) // height
+    # a step keeps min(c + m, window + 1) rows: f final ones, b's residual
+    # last and the rest carried, so a short step is refused before any QR
+    c = 0
+    for f, w in zip(ends.tolist(), (hi - lo).tolist()):
+        if c + m < f:
+            return None
+        c = min(c + m, w) - f
+    T = np.zeros((width, width + 1))  # [R | Q^T b], columns in the order of elim
     carried = np.zeros((0, 1))
-    for p, front, into, f, at, e0 in steps:
-        c = len(carried)
-        G = np.zeros((c + m, front.size + 1))
-        G[:c, into] = carried
-        G[c:, :-1] = U[p::height, front]
+    for p, a, f, z in zip(order, lo, ends, hi):
+        c, w = carried.shape
+        G = np.zeros((c + m, z - a + 1))
+        G[:c, : w - 1] = carried[:, :-1]
+        G[:c, -1] = carried[:, -1]
+        G[c:, :-1] = U[p::height, elim[a:z]]
         G[c:, -1] = b[p::height]
         G = np.linalg.qr(G, mode="r")
-        if len(G) < f:  # fewer rows left than columns ending here
-            return None
-        T[e0 : e0 + f, at] = G[:f]
-        carried = G[f : front.size, f:]
+        T[a : a + f, a:z] = G[:f, :-1]
+        T[a : a + f, width] = G[:f, -1]
+        carried = G[f : z - a, f:]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         floor = CLEAR_GAP * rank_cutoff * _norm_bound(U)
         if not np.abs(np.diagonal(T)).min() >= floor:  # sigma_min(R) <= min |R_ii|
             return None
-        Z = _back_substitute(T, solves)
+        Z = _back_substitute(T, np.repeat(hi, ends))
         if not 1.0 / _norm_bound(Z[:, :width]) >= floor:
             return None
     x = np.empty(width)
@@ -89,16 +99,17 @@ def solve(U: np.ndarray, b: np.ndarray, m: int, basis, k: int, rank_cutoff: floa
     return x
 
 
-def _back_substitute(T: np.ndarray, solves: tuple) -> np.ndarray:
+def _back_substitute(T: np.ndarray, reach: np.ndarray) -> np.ndarray:
     """[R^{-1} | R^{-1} Q^T b] from T = [R | Q^T b] by block
-    back-substitution, from the last block of rows up: block (e0, f, end)
-    is rows e0 to e0 + f of R, whose entries end before column end."""
+    back-substitution in blocks of SOLVE_ROWS rows, from the last up: row i
+    of R has no entries from column reach[i] on, and reach does not fall."""
     width = len(T)
     Z = np.zeros((width, width + 1))
-    for e0, f, end in reversed(solves):
-        mid = e0 + f
+    for e0 in reversed(range(0, width, SOLVE_ROWS)):
+        mid = min(e0 + SOLVE_ROWS, width)
+        end = reach[mid - 1]
         rhs = -(T[e0:mid, mid:end] @ Z[mid:end, e0:])
-        rhs[:, :f] += np.eye(f)
+        rhs[:, : mid - e0] += np.eye(mid - e0)
         rhs[:, -1] += T[e0:mid, width]
         Z[e0:mid, e0:] = np.linalg.solve(T[e0:mid, e0:mid], rhs)
     return Z
@@ -121,15 +132,13 @@ def _plan(basis, k: int) -> tuple | None:
     its widest front holds more than FRONT of the k |C| columns.
 
     Column blk*|C| + l of U_j touches the rows of A where S_l has entries.
-    The rows are visited in breadth-first order (``_row_order``), and step
-    s holds the columns whose first row comes at or before s and whose last
-    row at or after it, those ending at s first.  Each step is (place of its
-    row in P, front columns, places of the carried columns and of b in the
-    front, number of columns ending, the front's columns in [R | Q^T b],
-    the first row there of the columns ending).  ``solves`` merges the rows
-    of consecutive steps into blocks of at least SOLVE_ROWS rows for
-    ``_back_substitute``, and ``elim`` lists the columns in the order they
-    end.
+    ``order`` lists the rows' places in P in breadth-first order
+    (``_row_order``), and the front of step s is the columns whose first
+    row comes at or before s and whose last row at or after it.  ``elim``
+    sorts the columns by the step of their last row, ties by the step of
+    their first, so the window elim[lo[s]:hi[s]] holds the front of step s,
+    the ends[s] columns ending there first, and maybe columns that start
+    later (zero there).  Returns (order, lo, ends, hi, elim).
     """
     ((P, C),) = basis.blocks
     rows, coords = P.shape[1], C.shape[1]
@@ -149,25 +158,12 @@ def _plan(basis, k: int) -> tuple | None:
     live = np.cumsum(np.bincount(first, minlength=rows) - np.bincount(last + 1, minlength=rows + 1)[:rows])
     if live.max() > FRONT * k * coords:
         return None
-    width = k * coords
-    elim = np.argsort(last, kind="stable")
-    epos = np.empty(width, dtype=np.intp)
-    epos[elim] = np.arange(width)
+    elim = np.lexsort((first, last))
     ends = np.bincount(last, minlength=rows)
-    place = np.empty(width, dtype=np.intp)
-    steps, solves, rest, lo, end = [], [], np.empty(0, dtype=np.intp), 0, 0
-    for s, (p, f, e0) in enumerate(zip(order, ends, np.cumsum(ends) - ends)):
-        front = np.flatnonzero((first <= s) & (last >= s))
-        front = front[np.argsort(last[front] > s, kind="stable")]
-        place[front] = np.arange(front.size)
-        into = np.append(place[rest], front.size)
-        steps.append((p, front, into, f, np.append(epos[front], width), e0))
-        rest = front[f:]
-        end = max(end, epos[front].max() + 1)
-        if e0 + f - lo >= SOLVE_ROWS or s == rows - 1:
-            solves.append((lo, e0 + f - lo, end))
-            lo = e0 + f
-    return tuple(steps), tuple(solves), elim
+    # hi[s] is one past the last place in elim of a column started by step s
+    started = np.zeros(rows, dtype=np.intp)
+    np.maximum.at(started, first[elim], np.arange(1, k * coords + 1))
+    return order, np.cumsum(ends) - ends, ends, np.maximum.accumulate(started), elim
 
 
 def _row_order(coord: np.ndarray, row: np.ndarray, rows: int) -> np.ndarray:

@@ -630,13 +630,60 @@ def test_sweep_follows_a_custom_chain_in_shuffled_order(k):
     basis = shuffled_chain_basis(n, seed=17 + k)
     for m in (-(-k * basis.r // n), 2 * k + 2):
         system = assemble(random_real_form(n, m, seed=400 + 10 * k + m), basis, k, allow_overdetermined=True)
-        steps = sweep._plan(basis, k)[0]
-        # the breadth-first order finds the chain: a step holds at most the
-        # three coordinates of its row, times k
-        assert max(front.size for _, front, *_ in steps) == 3 * k
+        _, lo, _, hi, _ = sweep._plan(basis, k)
+        # the breadth-first order finds the chain: a step's window holds at
+        # most the three coordinates of its row, times k
+        assert (hi - lo).max() == 3 * k
         family = analyze(system)
         assert certified(family)
         assert_matches_dense_oracle(system, family)
+
+
+def shuffled_band_basis(n, width, seed):
+    """A custom symmetric band: E_ij + E_ji for 0 <= j - i <= width, its
+    matrices listed in a random order."""
+    mats = []
+    for d in range(width + 1):
+        for i in range(n - d):
+            a = np.zeros((n, n))
+            a[i, i + d] = a[i + d, i] = 1.0
+            mats.append(a)
+    return load_custom_basis([mats[i] for i in np.random.default_rng(seed).permutation(len(mats))])
+
+
+@pytest.mark.parametrize("width", [2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_sweep_window_wider_than_its_front(width, k, tries):
+    # on a band a column can start before one that ends sooner, so a
+    # window also holds columns that start after its step and are zero there
+    n = 40
+    basis = shuffled_band_basis(n, width, seed=900 + 10 * width + k)
+    order, lo, _, hi, _ = sweep._plan(basis, k)
+    step = np.empty(n, dtype=np.intp)
+    step[order] = np.arange(n)
+    first, last = np.full(basis.r, n), np.full(basis.r, -1)
+    np.minimum.at(first, basis.index, step[basis.rows])
+    np.maximum.at(last, basis.index, step[basis.rows])
+    front = k * max(np.count_nonzero((first <= s) & (s <= last)) for s in range(n))
+    assert (hi - lo).max() > front
+    m = -(-k * basis.r // n) + 1
+    system = assemble(random_real_form(n, m, seed=950 + 10 * width + k), basis, k, allow_overdetermined=True)
+    family = analyze(system)
+    assert tries.pop() is not None and certified(family)
+    assert_matches_dense_oracle(system, family)
+
+
+def test_sweep_plan_is_five_small_integer_arrays():
+    basis = build_basis("symmetric_tridiagonal", 120)
+    basis.blocks  # built with the basis, not by the plan
+    tracemalloc.start()
+    try:
+        plan = sweep._plan(basis, 2)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(plan) == 5 and all(isinstance(a, np.ndarray) and a.dtype.kind == "i" for a in plan)
+    assert held < 20 * 2**10, f"{held / 2**10:.1f} KiB"
 
 
 @pytest.mark.parametrize("scale", [1e-11, 1e-17])
@@ -662,28 +709,31 @@ def test_refused_sweep_is_the_block_svd_bit_for_bit(scale, monkeypatch, tries):
 
 
 def test_sweep_refuses_a_front_with_fewer_rows_than_ending_columns(monkeypatch, tries):
-    # a symmetric chain plus the six coordinates e_0 e_j^T, j = 1..6, which
-    # all end at row 0 of A: the sweep reaches row 0 last, where 16 columns
-    # end but only 8 rows are left, so it refuses inside the sweep
-    n, k, m = 100, 2, 6
-    mats = []
-    for i, j in [(p, p) for p in range(n)] + [(p, p + 1) for p in range(n - 1)]:
-        a = np.zeros((n, n))
-        a[i, j] = a[j, i] = 1.0
-        mats.append(a)
-    for j in range(1, 7):
-        a = np.zeros((n, n))
-        a[0, j] = 1.0
-        mats.append(a)
-    system = assemble(random_real_form(n, m, seed=1), load_custom_basis(mats), k)
-    assert system.blocks[0][2].shape == (600, 410)
+    # a symmetric chain plus the coordinates e_0 e_j^T, j = 1..extra, which
+    # all end at row 0 of A: the sweep reaches row 0 last, where k (extra + 2)
+    # columns end but fewer rows are left, so it refuses: 8 rows for 16
+    # columns, and 4 for 5, one short of a count that kept b's residual row
+    n = 100
     qr, bound = spy_on(monkeypatch, np.linalg, "qr"), spy_on(monkeypatch, sweep, "_norm_bound")
-    family = analyze(system)
-    # every step ran, and the certificate was never reached
-    assert tries == [None] and len(qr) == n and bound == []
-    rank, x0, _, _ = dense_oracle(system)
-    assert family.rank == rank == 402 and not certified(family)
-    assert np.array_equal(family.x0, x0)
+    for k, m, extra, expected in ((2, 6, 6, 402), (1, 3, 3, 201)):
+        mats = []
+        for i, j in [(p, p) for p in range(n)] + [(p, p + 1) for p in range(n - 1)]:
+            a = np.zeros((n, n))
+            a[i, j] = a[j, i] = 1.0
+            mats.append(a)
+        for j in range(1, extra + 1):
+            a = np.zeros((n, n))
+            a[0, j] = 1.0
+            mats.append(a)
+        system = assemble(random_real_form(n, m, seed=1), load_custom_basis(mats), k)
+        assert system.blocks[0][2].shape == (m * n, k * (2 * n - 1 + extra))
+        family = analyze(system)
+        # refused from the plan's row counts, before any QR step
+        assert tries == [None] and qr == [] and bound == []
+        tries.clear()
+        rank, x0, _, _ = dense_oracle(system)
+        assert family.rank == rank == expected and not certified(family)
+        assert np.array_equal(family.x0, x0)
 
 
 def test_certified_band_solve_takes_no_svd_and_keeps_no_square_factor(monkeypatch):
